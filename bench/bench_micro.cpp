@@ -85,6 +85,7 @@ BENCHMARK(BM_BgpDecode)->Arg(1)->Arg(64);
 
 void BM_DecisionProcess(benchmark::State& state) {
   const auto n = state.range(0);
+  bgp::AttrRegistry store;
   std::vector<bgp::Route> routes;
   for (std::int64_t i = 0; i < n; ++i) {
     bgp::Route r;
@@ -96,7 +97,7 @@ void BM_DecisionProcess(benchmark::State& state) {
     bgp::PathAttributes attrs;
     attrs.as_path = bgp::AsPath{std::move(hops)};
     attrs.local_pref = 100;
-    r.attributes = bgp::AttrSetRef::intern(std::move(attrs));
+    r.attributes = store.intern(std::move(attrs));
     r.peer_bgp_id = net::Ipv4Addr{static_cast<std::uint32_t>(i + 1)};
     r.learned_from = core::SessionId{static_cast<std::uint32_t>(i)};
     routes.push_back(std::move(r));
@@ -176,9 +177,10 @@ void BM_FlowTableLookupLinear(benchmark::State& state) {
 BENCHMARK(BM_FlowTableLookupLinear)->Arg(1024)->Arg(4096);
 
 void BM_AttrIntern(benchmark::State& state) {
-  // Hit path: interning a bundle already in the pool (the common case once
+  // Hit path: interning a bundle already in the store (the common case once
   // a route has been seen on one session) must cost a hash + one compare.
-  const auto canonical = bgp::AttrSetRef::intern([] {
+  bgp::AttrRegistry store;
+  const auto canonical = store.intern([] {
     bgp::PathAttributes a;
     a.as_path = bgp::AsPath{{core::AsNumber{65001}, core::AsNumber{2},
                              core::AsNumber{1}}};
@@ -189,7 +191,7 @@ void BM_AttrIntern(benchmark::State& state) {
   }());
   for (auto _ : state) {
     bgp::PathAttributes copy = *canonical;
-    benchmark::DoNotOptimize(bgp::AttrSetRef::intern(std::move(copy)));
+    benchmark::DoNotOptimize(store.intern(std::move(copy)));
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -288,7 +290,7 @@ void BM_AsTopologyDecide(benchmark::State& state) {
     rattrs.as_path =
         bgp::AsPath{{core::AsNumber{static_cast<std::uint32_t>(500 + i)},
                      core::AsNumber{999}}};
-    r.attributes = bgp::AttrSetRef::intern(std::move(rattrs));
+    r.attributes = speaker.attr_store().intern(std::move(rattrs));
     routes.push_back(std::move(r));
   }
   controller::AsTopologyGraph topo{graph, speaker};

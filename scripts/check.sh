@@ -256,8 +256,9 @@ fi
 # Determinism job: the same seeded bench must emit byte-identical points and
 # counters whether trials run serially or on a 4-worker pool. Only the
 # footer (wall-clock timings, jobs count) may differ. This is the
-# end-to-end guard on the interning pools, shared encode buffers, and the
-# reworked event loop: any cross-trial state leak shows up here.
+# end-to-end guard on the per-simulation attribute stores, shared encode
+# buffers, and the reworked event loop: any cross-trial state leak shows up
+# here.
 echo "===== bench json determinism (BGPSDN_JOBS=1 vs 4)"
 if command -v python3 > /dev/null 2>&1; then
   BGPSDN_QUICK=1 BGPSDN_JOBS=1 \
@@ -362,9 +363,10 @@ fi
 # paths deliberately feed sessions garbage bytes and tear subsystems down
 # mid-flight — exactly where lifetime and UB bugs would hide. Rebuild with
 # both sanitizers and run every fault/chaos/fuzz test, plus the refcounted
-# hot-path machinery: the attribute-interning pool (weak_ptr sweep,
-# canonical lifetime), the shared encode buffers, the COW byte payloads,
-# and the slot-slab event loop under churn.
+# hot-path machinery: the attribute store (non-atomic refcounts, orphaned
+# bundles, export-cache chains unlinked on free), the dense pending sets,
+# the shared encode buffers, the COW byte payloads, and the slot-slab event
+# loop under churn.
 echo "===== asan+ubsan"
 cmake -B build-asan "${GENERATOR[@]}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -373,14 +375,14 @@ cmake -B build-asan "${GENERATOR[@]}" \
 cmake --build build-asan -j "$(nproc)" \
   --target test_framework test_bgp test_net test_core test_controller bgpsdn_run
 ./build-asan/tests/test_framework \
-  --gtest_filter='FaultPlanParse.*:FaultInjector.*:FaultDsl.*:FaultDeterminism.*:CrashRecovery.*'
+  --gtest_filter='FaultPlanParse.*:FaultInjector.*:FaultDsl.*:FaultDeterminism.*:CrashRecovery.*:ExportOracle.*:AttrStoreLifetime.*'
 ./build-asan/tests/test_controller --gtest_filter='ReplicaSet*'
 # The HA chaos scenario + plan under ASan: elections, partition deposal and
 # the degrade/recover hooks all tear subsystems down mid-flight.
 ./build-asan/tools/bgpsdn_run --faults scenarios/ha_chaos.plan \
   scenarios/ha_chaos.bgpsdn > /dev/null
 ./build-asan/tests/test_bgp \
-  --gtest_filter='*CodecFuzz*:*LiveSessionFuzz*:AttrIntern.*:EncodeShared.*'
+  --gtest_filter='*CodecFuzz*:*LiveSessionFuzz*:AttrIntern.*:AttrStore.*:AttrExportCache.*:AttrRegistry.*:PrefixIndex.*:PrefixSet.*:EncodeShared.*'
 ./build-asan/tests/test_net \
   --gtest_filter='*LinkParams*:*RuntimeLoss*:*Corruption*:Bytes.*'
 ./build-asan/tests/test_core --gtest_filter='EventLoop.*'

@@ -50,103 +50,20 @@ void SessionTable::drop(std::uint32_t session) {
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
-// AttrRegistry
-
-namespace {
-
-std::size_t attr_slot_hash(const PathAttributes* key) {
-  // splitmix64 finalizer over the canonical bundle address. Heap addresses
-  // differ across runs, which only steers the probe order — slot counts and
-  // lookup results depend on the acquire/release sequence alone.
-  auto x = static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(key));
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return static_cast<std::size_t>(x ^ (x >> 31));
-}
-
-}  // namespace
-
-std::uint32_t AttrRegistry::acquire(const AttrSetRef& ref) {
-  // Interning makes the canonical bundle address a value key within one
-  // trial thread, so dedup is a pointer probe.
-  const PathAttributes* key = &ref.get();
-  if (slots_.empty() || (live_ + 1) * 10 > slots_.size() * 7) grow();
-  std::size_t i = attr_slot_hash(key) & slot_mask_;
-  while (slots_[i] != kNone) {
-    Entry& e = entries_[slots_[i]];
-    if (&e.ref.get() == key) {
-      ++e.refs;
-      return slots_[i];
-    }
-    i = (i + 1) & slot_mask_;
-  }
-  std::uint32_t index;
-  if (!free_.empty()) {
-    index = free_.back();
-    free_.pop_back();
-  } else {
-    index = static_cast<std::uint32_t>(entries_.size());
-    entries_.emplace_back();
-  }
-  entries_[index].ref = ref;
-  entries_[index].refs = 1;
-  slots_[i] = index;
-  ++live_;
-  return index;
-}
-
-void AttrRegistry::release(std::uint32_t index) {
-  Entry& e = entries_[index];
-  if (--e.refs > 0) return;
-  const PathAttributes* key = &e.ref.get();
-  std::size_t i = attr_slot_hash(key) & slot_mask_;
-  while (slots_[i] != index) i = (i + 1) & slot_mask_;
-  // Backshift: pull later entries of the probe chain over the hole so
-  // lookups never need tombstones.
-  std::size_t hole = i;
-  std::size_t j = i;
-  for (;;) {
-    j = (j + 1) & slot_mask_;
-    if (slots_[j] == kNone) break;
-    const std::size_t ideal =
-        attr_slot_hash(&entries_[slots_[j]].ref.get()) & slot_mask_;
-    if (((j - ideal) & slot_mask_) >= ((j - hole) & slot_mask_)) {
-      slots_[hole] = slots_[j];
-      hole = j;
-    }
-  }
-  slots_[hole] = kNone;
-  e.ref = AttrSetRef{};
-  free_.push_back(index);
-  --live_;
-}
-
-void AttrRegistry::grow() {
-  std::vector<std::uint32_t> old = std::move(slots_);
-  slots_.assign(old.empty() ? 16 : old.size() * 2, kNone);
-  slot_mask_ = slots_.size() - 1;
-  for (const std::uint32_t id : old) {
-    if (id == kNone) continue;
-    std::size_t i = attr_slot_hash(&entries_[id].ref.get()) & slot_mask_;
-    while (slots_[i] != kNone) i = (i + 1) & slot_mask_;
-    slots_[i] = id;
-  }
-}
-
-std::uint64_t AttrRegistry::bytes() const {
-  return static_cast<std::uint64_t>(entries_.size()) * sizeof(Entry) +
-         static_cast<std::uint64_t>(free_.size()) * sizeof(std::uint32_t) +
-         static_cast<std::uint64_t>(slots_.size()) * sizeof(std::uint32_t);
-}
-
-// ---------------------------------------------------------------------------
 // AdjRibIn
 
 AdjRibIn::AdjRibIn(RibLayout layout, AttrRegistryRef attrs)
     : layout_{layout},
       attrs_{attrs != nullptr ? std::move(attrs)
                               : std::make_shared<AttrRegistry>()} {}
+
+AdjRibIn::~AdjRibIn() {
+  spans_.scan([&](const net::Prefix&, const InSpan& span) {
+    for (std::uint16_t i = 0; i < span.size; ++i) {
+      attrs_->release(slab_[span.offset + i].attr);
+    }
+  });
+}
 
 bool AdjRibIn::put(const Route& route) {
   return layout_ == RibLayout::kReference ? put_reference(route)
@@ -459,6 +376,12 @@ LocRib::LocRib(RibLayout layout, AttrRegistryRef attrs)
       attrs_{attrs != nullptr ? std::move(attrs)
                               : std::make_shared<AttrRegistry>()} {}
 
+LocRib::~LocRib() {
+  table_.scan([&](const net::Prefix&, const LocEntry& entry) {
+    attrs_->release(entry.attr);
+  });
+}
+
 bool LocRib::install(const Route& route) {
   if (layout_ == RibLayout::kReference) {
     const auto it = routes_.find(route.prefix);
@@ -574,6 +497,14 @@ RibOutStore::RibOutStore(RibLayout layout, AttrRegistryRef attrs)
       attrs_{attrs != nullptr ? std::move(attrs)
                               : std::make_shared<AttrRegistry>()} {}
 
+RibOutStore::~RibOutStore() {
+  spans_.scan([&](const net::Prefix&, const OutSpan& span) {
+    for (std::uint32_t i = 0; i < span.width; ++i) {
+      if (slab_[span.offset + i] != kNone) attrs_->release(slab_[span.offset + i]);
+    }
+  });
+}
+
 std::uint16_t RibOutStore::add_column() {
   const std::uint16_t column = columns_++;
   col_size_.push_back(0);
@@ -603,8 +534,7 @@ bool RibOutStore::advertise(std::uint16_t col, const net::Prefix& prefix,
     span = widen_row(span);
   }
   std::uint32_t& slot = slab_[span->offset + col];
-  // Index equality is value equality: within one trial thread interning
-  // canonicalizes bundles and the registry dedups by canonical address.
+  // Index equality is value equality: the store holds one bundle per value.
   const std::uint32_t index = attrs_->acquire(attrs);
   if (slot == index) {
     attrs_->release(index);
@@ -637,17 +567,18 @@ bool RibOutStore::withdraw(std::uint16_t col, const net::Prefix& prefix) {
   return true;
 }
 
-const AttrSetRef* RibOutStore::advertised(std::uint16_t col,
-                                          const net::Prefix& prefix) const {
+const PathAttributes* RibOutStore::advertised(std::uint16_t col,
+                                              const net::Prefix& prefix) const {
   if (layout_ == RibLayout::kReference) {
     const auto& advertised = ref_cols_[col];
     const auto it = advertised.find(prefix);
-    return it == advertised.end() ? nullptr : &it->second;
+    return it == advertised.end() ? nullptr : &*it->second;
   }
   const OutSpan* span = spans_.find(prefix);
   if (span == nullptr || col >= span->width) return nullptr;
   const std::uint32_t slot = slab_[span->offset + col];
-  return slot == kNone ? nullptr : &attrs_->at(slot);
+  // The slot's index keeps the bundle alive past the temporary handle.
+  return slot == kNone ? nullptr : &*attrs_->at(slot);
 }
 
 std::size_t RibOutStore::size(std::uint16_t col) const {

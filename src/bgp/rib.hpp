@@ -11,9 +11,9 @@
 //    (session, attr-registry index, installed-at) because the prefix lives
 //    in the table key, the peer tiebreak identity in a per-session side
 //    table and the attribute bundle in the simulation-wide refcounted
-//    AttrRegistry; Adj-RIB-Out keeps one row per prefix with a per-peer
-//    column of attr indices shared across all peers of the router
-//    (RibOutStore).
+//    AttrRegistry (attr_intern.hpp); Adj-RIB-Out keeps one row per prefix
+//    with a per-peer column of attr indices shared across all peers of the
+//    router (RibOutStore).
 //  - kReference: the original node-based containers
 //    (unordered_map<Prefix, map<SessionId, Route>> and friends), kept as the
 //    equivalence-tested reference implementation — the same pattern as
@@ -234,63 +234,6 @@ class SessionTable {
 
 }  // namespace detail
 
-/// Refcounted attribute-handle registry: compact-layout RIBs store 4-byte
-/// indices into here instead of 16-byte AttrSetRef handles per entry.
-/// Deduplicated by canonical-bundle address (interning makes pointer
-/// identity equal value identity within a trial thread).
-///
-/// One registry is shared by every RIB of a simulation — the Experiment
-/// wires a single instance through all routers and the speaker — so a
-/// bundle referenced from thousands of RIB entries pays one handle entry
-/// network-wide. Its footprint therefore scales with distinct bundles (like
-/// the intern pool), not with (prefix x peer) entries, and is accounted by
-/// its owner as mem.attr_registry, never inside RIB peak bytes. Standalone
-/// RIBs fall back to a private instance.
-///
-/// The dedup index is open addressing over entry ids: a pointer-keyed
-/// unordered_map node costs ~7x the 4-byte slot. Pointer values hash the
-/// probe order, which is invisible to callers; slot counts depend only on
-/// the acquire/release sequence, so bytes() stays deterministic.
-class AttrRegistry {
- public:
-  static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
-
-  /// Index for `ref`, refcount +1.
-  std::uint32_t acquire(const AttrSetRef& ref);
-  /// Refcount +1 on an index already held.
-  void retain(std::uint32_t index) { ++entries_[index].refs; }
-  /// Refcount -1; frees the slot (and the bundle reference) at zero.
-  void release(std::uint32_t index);
-
-  const AttrSetRef& at(std::uint32_t index) const {
-    return entries_[index].ref;
-  }
-
-  /// Live (referenced) entries.
-  std::size_t size() const { return live_; }
-  /// Deterministic footprint (core/mem_stats.hpp model): the entry slab
-  /// plus the open-addressing id index.
-  std::uint64_t bytes() const;
-
- private:
-  struct Entry {
-    AttrSetRef ref{};
-    std::uint32_t refs{0};
-  };
-
-  void grow();
-
-  std::vector<Entry> entries_;
-  std::vector<std::uint32_t> free_;
-  /// Open-addressing dedup index: slots hold entry ids (kNone = empty),
-  /// keyed by the canonical bundle address of the entry's ref. Linear
-  /// probing with backshift deletion, 70% max load.
-  std::vector<std::uint32_t> slots_;
-  std::size_t slot_mask_{0};
-  std::size_t live_{0};
-};
-
-using AttrRegistryRef = std::shared_ptr<AttrRegistry>;
 
 /// Inbound routes, indexed prefix-first so the decision process can see all
 /// candidates for a prefix at once. Candidates for a prefix are kept in
@@ -300,6 +243,10 @@ class AdjRibIn {
  public:
   explicit AdjRibIn(RibLayout layout = RibLayout::kCompact,
                     AttrRegistryRef attrs = nullptr);
+  AdjRibIn(const AdjRibIn&) = delete;
+  AdjRibIn& operator=(const AdjRibIn&) = delete;
+  /// Returns every held registry index.
+  ~AdjRibIn();
 
   /// Insert/replace the route from one peer (implicit withdraw semantics).
   /// Returns true when the stored entry actually changed — new candidate,
@@ -411,6 +358,9 @@ class LocRib {
  public:
   explicit LocRib(RibLayout layout = RibLayout::kCompact,
                   AttrRegistryRef attrs = nullptr);
+  LocRib(const LocRib&) = delete;
+  LocRib& operator=(const LocRib&) = delete;
+  ~LocRib();
 
   /// Install/replace the best route. Returns true if this changed the entry.
   bool install(const Route& route);
@@ -472,6 +422,9 @@ class RibOutStore {
  public:
   explicit RibOutStore(RibLayout layout = RibLayout::kCompact,
                        AttrRegistryRef attrs = nullptr);
+  RibOutStore(const RibOutStore&) = delete;
+  RibOutStore& operator=(const RibOutStore&) = delete;
+  ~RibOutStore();
 
   RibLayout layout() const { return layout_; }
   /// Register one more peer; returns its column ordinal.
@@ -481,8 +434,9 @@ class RibOutStore {
   bool advertise(std::uint16_t col, const net::Prefix& prefix,
                  const AttrSetRef& attrs);
   bool withdraw(std::uint16_t col, const net::Prefix& prefix);
-  const AttrSetRef* advertised(std::uint16_t col,
-                               const net::Prefix& prefix) const;
+  /// The advertised bundle, or nullptr; valid until the next mutation.
+  const PathAttributes* advertised(std::uint16_t col,
+                                   const net::Prefix& prefix) const;
   std::size_t size(std::uint16_t col) const;
   void clear(std::uint16_t col);
   /// Advertised prefixes of one column, sorted.
@@ -553,7 +507,7 @@ class AdjRibOut {
 
   /// The advertised bundle, or nullptr. The pointer is valid until the next
   /// mutation of any column of the owning store.
-  const AttrSetRef* advertised(const net::Prefix& prefix) const {
+  const PathAttributes* advertised(const net::Prefix& prefix) const {
     return store_->advertised(column_, prefix);
   }
 

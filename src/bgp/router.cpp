@@ -14,18 +14,48 @@ namespace {
 /// Locally-originated routes always win the decision process.
 constexpr std::uint32_t kLocalRoutePref = 1000;
 
-/// Shared bundle for locally-originated candidates (one canonical instance
-/// per thread instead of a fresh PathAttributes per recompute).
-const AttrSetRef& local_route_attrs() {
-  thread_local const AttrSetRef attrs = [] {
-    PathAttributes a;
-    a.origin = Origin::kIgp;
-    a.local_pref = kLocalRoutePref;
-    return AttrSetRef::intern(std::move(a));
-  }();
-  return attrs;
+/// Peer::export_class of a peering whose export is evaluated per prefix.
+constexpr std::uint64_t kUncachedExport = 0;
+
+AttrRegistryRef store_or_private(const AttrRegistryRef& shared) {
+  return shared != nullptr ? shared : std::make_shared<AttrRegistry>();
+}
+
+/// Low byte of an export-cache key: how the exported winner was learned.
+std::uint64_t learned_code(const std::optional<Relationship>& rel) {
+  return rel.has_value() ? 1 + static_cast<std::uint64_t>(*rel) : 0;
+}
+
+/// Add `prefix` to the announcement group of `attrs` (one bundle per
+/// UPDATE). Bundles of one store compare by identity, so the group lookup is
+/// a pointer compare.
+void add_to_group(
+    std::vector<std::pair<AttrSetRef, std::vector<net::Prefix>>>& groups,
+    const AttrSetRef& attrs, const net::Prefix& prefix) {
+  auto it = std::find_if(groups.begin(), groups.end(),
+                         [&](const auto& g) { return g.first == attrs; });
+  if (it == groups.end()) {
+    groups.push_back({attrs, {prefix}});
+  } else {
+    // lint: alloc-ok(grows the per-bundle NLRI list; amortized across the
+    // burst and bounded by the drained set the groups were reserved for)
+    it->second.push_back(prefix);
+  }
 }
 }  // namespace
+
+BgpRouter::BgpRouter(RouterConfig config)
+    : config_{std::move(config)},
+      store_{store_or_private(config_.attr_registry)},
+      adj_rib_in_{config_.rib_layout, store_},
+      loc_rib_{config_.rib_layout, store_},
+      rib_out_store_{config_.rib_layout, store_},
+      dampener_{config_.damping} {
+  PathAttributes local;
+  local.origin = Origin::kIgp;
+  local.local_pref = kLocalRoutePref;
+  local_attrs_ = store_->intern(std::move(local));
+}
 
 void BgpRouter::add_peer(core::PortId port, PeerConfig peer_config) {
   SessionConfig sc;
@@ -44,6 +74,7 @@ void BgpRouter::add_peer(core::PortId port, PeerConfig peer_config) {
   if (fresh) peer.rib_out = AdjRibOut(rib_out_store_);
   peer.port = port;
   peer.config = std::move(peer_config);
+  peer.export_class = export_class_of(peer.config.policy);
   peer.session = std::make_unique<Session>(*this, sc);
   peers_by_session_[sc.id.value()] = &peer;
   if (started_) peer.session->start();
@@ -126,13 +157,15 @@ void BgpRouter::session_established(Session& session) {
       peer_mrai(*peer) > core::Duration::zero()) {
     // Initial table transfer goes out promptly; afterwards the
     // free-running advertisement timer paces everything.
-    for (const auto& prefix : loc_rib_.prefixes()) peer->pending.insert(prefix);
+    for (const auto& prefix : loc_rib_.prefixes()) {
+      peer->pending.insert(prefix_index_.intern(prefix));
+    }
     flush_peer(*peer);
     arm_mrai(*peer);
   } else {
     TxBatch batch{*this};
     for (const auto& prefix : loc_rib_.prefixes()) {
-      schedule_peer_update(*peer, prefix);
+      schedule_peer_update(*peer, prefix_index_.intern(prefix));
     }
   }
 }
@@ -210,21 +243,37 @@ void BgpRouter::process_update(Peer& peer, const UpdateMessage& update) {
       recompute(prefix);
     }
   }
-  for (const auto& prefix : update.nlri) {
+  if (update.nlri.empty()) return;
+  const PeerPolicy& policy = peer.config.policy;
+  const bool looped = update.attributes.as_path.contains(config_.asn);
+  // Without a prefix filter or route map the import result is the same for
+  // every NLRI of the UPDATE: intern it once.
+  const bool per_prefix = !policy.import_deny.empty() || policy.import_map;
+  AttrSetRef shared;
+  if (!looped && !per_prefix) {
     PathAttributes attrs = update.attributes;
-    if (attrs.as_path.contains(config_.asn)) {
+    PolicyEngine::apply_import(policy, update.nlri.front(), attrs);
+    shared = store_->intern(std::move(attrs));
+  }
+  for (const auto& prefix : update.nlri) {
+    if (looped) {
       ++counters_.routes_rejected_loop;
-      if (adj_rib_in_.erase(prefix, sid)) recompute(prefix);
-      continue;
-    }
-    if (!PolicyEngine::apply_import(peer.config.policy, prefix, attrs)) {
-      ++counters_.routes_rejected_policy;
       if (adj_rib_in_.erase(prefix, sid)) recompute(prefix);
       continue;
     }
     Route route;
     route.prefix = prefix;
-    route.attributes = AttrSetRef::intern(std::move(attrs));
+    if (per_prefix) {
+      PathAttributes attrs = update.attributes;
+      if (!PolicyEngine::apply_import(policy, prefix, attrs)) {
+        ++counters_.routes_rejected_policy;
+        if (adj_rib_in_.erase(prefix, sid)) recompute(prefix);
+        continue;
+      }
+      route.attributes = store_->intern(std::move(attrs));
+    } else {
+      route.attributes = shared;
+    }
     route.learned_from = sid;
     route.peer_bgp_id = peer.session->peer_bgp_id();
     route.peer_address = peer.config.remote_address;
@@ -268,6 +317,8 @@ void BgpRouter::note_flap(core::SessionId session, const net::Prefix& prefix,
 // at internet scale it dominates the event loop)
 void BgpRouter::recompute(const net::Prefix& prefix) {
   init_metrics();
+  const std::uint32_t slot = prefix_index_.intern(prefix);
+  if (slot >= sources_.size()) sources_.resize(slot + 1);
   if (decision_runs_metric_ != nullptr) decision_runs_metric_->inc();
   const std::uint64_t best_changes_before = counters_.best_changes;
   // Incremental best-path selection over an allocation-free visitation of
@@ -292,7 +343,7 @@ void BgpRouter::recompute(const net::Prefix& prefix) {
   if (const auto it = local_prefixes_.find(prefix); it != local_prefixes_.end()) {
     Route local;
     local.prefix = prefix;
-    local.attributes = local_route_attrs();
+    local.attributes = local_attrs_;
     local.installed_at = it->second;
     ++candidate_count;
     if (!have_best || compare_routes(local, best) < 0) {
@@ -311,6 +362,7 @@ void BgpRouter::recompute(const net::Prefix& prefix) {
   if (!have_best) {
     if (current == nullptr) return;
     loc_rib_.remove(prefix);
+    sources_[slot] = ExportSource{};
     if (host_ports_.count(prefix) == 0) fib_.erase(prefix);
     ++counters_.best_changes;
     logger().log(loop().now(), core::LogLevel::kInfo, session_log_name(),
@@ -321,7 +373,12 @@ void BgpRouter::recompute(const net::Prefix& prefix) {
                          current->learned_from != best.learned_from;
     if (!changed) return;
     loc_rib_.install(best);
+    ExportSource& source = sources_[slot];
+    source.best = best.attributes;
+    source.learned_from = best.learned_from;
+    source.present = true;
     if (best.is_local()) {
+      source.learned_rel.reset();
       // Delivered locally (to the attached host if any).
       if (const auto it = host_ports_.find(prefix); it != host_ports_.end()) {
         fib_.insert(prefix, it->second);
@@ -329,7 +386,9 @@ void BgpRouter::recompute(const net::Prefix& prefix) {
         fib_.erase(prefix);
       }
     } else {
-      fib_.insert(prefix, peers_by_session_.at(best.learned_from.value())->port);
+      const Peer* via = peers_by_session_.at(best.learned_from.value());
+      source.learned_rel = via->config.policy.relationship;
+      fib_.insert(prefix, via->port);
     }
     ++counters_.best_changes;
     // lint: alloc-ok(the log line is built only on best-path change
@@ -355,45 +414,70 @@ void BgpRouter::recompute(const net::Prefix& prefix) {
     }
   }
 
-  for (auto& [port, peer] : peers_) schedule_peer_update(peer, prefix);
+  for (auto& [port, peer] : peers_) schedule_peer_update(peer, slot);
 }
 
 // --- advertisement / MRAI ---------------------------------------------------
 
-std::optional<Relationship> BgpRouter::relationship_of_best(const Route& best) {
-  if (best.is_local()) return std::nullopt;
-  return peers_by_session_.at(best.learned_from.value())
-      ->config.policy.relationship;
+std::uint64_t BgpRouter::export_class_of(const PeerPolicy& policy) const {
+  if (!policy.export_deny.empty() || policy.export_map) return kUncachedExport;
+  // Everything apply_export reads besides the bundle and how it was learned
+  // (the low byte, filled in per lookup). The mode byte is offset by one so
+  // no class equals kUncachedExport.
+  return (std::uint64_t{config_.asn.value()} << 32) |
+         ((static_cast<std::uint64_t>(policy.mode) + 1) << 24) |
+         (static_cast<std::uint64_t>(policy.relationship) << 16) |
+         (std::uint64_t{policy.prepend} << 8);
 }
 
-BgpRouter::ExportAction BgpRouter::evaluate_export(Peer& peer,
-                                                   const net::Prefix& prefix,
+// lint: hotpath(one export evaluation per (prefix, peer) on every best-path
+// change and flush; a cache hit is a short chain walk, no copy)
+BgpRouter::ExportAction BgpRouter::evaluate_export(const Peer& peer,
+                                                   std::uint32_t slot,
                                                    AttrSetRef& out_attrs) {
-  const Route* best = loc_rib_.find(prefix);
-  if (best == nullptr) return ExportAction::kWithdraw;
-  if (config_.split_horizon && best->learned_from == peer.session->id()) {
+  const ExportSource& source = sources_[slot];
+  if (!source.present) return ExportAction::kWithdraw;
+  if (config_.split_horizon && source.learned_from == peer.session->id()) {
     return ExportAction::kWithdraw;
   }
-  // Copy-out / edit / re-intern: the canonical bundle is immutable.
-  PathAttributes attrs = *best->attributes;
-  if (!PolicyEngine::apply_export(peer.config.policy, relationship_of_best(*best),
-                                  prefix, attrs, config_.asn)) {
-    return ExportAction::kWithdraw;
+  const bool cacheable = peer.export_class != kUncachedExport;
+  const std::uint64_t klass = peer.export_class | learned_code(source.learned_rel);
+  if (cacheable) {
+    switch (store_->find_export(source.best, klass, out_attrs)) {
+      case AttrRegistry::Cached::kExported:
+        return ExportAction::kAnnounce;
+      case AttrRegistry::Cached::kRejected:
+        return ExportAction::kWithdraw;
+      case AttrRegistry::Cached::kMiss:
+        break;
+    }
   }
-  attrs.as_path = attrs.as_path.prepend(config_.asn);
-  attrs.next_hop = peer.config.local_address;
-  out_attrs = AttrSetRef::intern(std::move(attrs));
-  return ExportAction::kAnnounce;
+  // Copy-out / edit / re-intern: the stored bundle is immutable. NEXT_HOP
+  // is left empty so every peer of one class shares the result; it is
+  // stamped per peer at send time.
+  PathAttributes attrs = *source.best;
+  const bool exported = PolicyEngine::apply_export(
+      peer.config.policy, source.learned_rel, prefix_index_.prefix(slot), attrs,
+      config_.asn);
+  if (exported) {
+    attrs.as_path = attrs.as_path.prepend(config_.asn);
+    attrs.next_hop = net::Ipv4Addr{};
+    out_attrs = store_->intern(std::move(attrs));
+  }
+  if (cacheable) {
+    store_->cache_export(source.best, klass, exported ? &out_attrs : nullptr);
+  }
+  return exported ? ExportAction::kAnnounce : ExportAction::kWithdraw;
 }
 
 core::Duration BgpRouter::peer_mrai(const Peer& peer) const {
   return peer.config.mrai.value_or(config_.timers.mrai);
 }
 
-void BgpRouter::schedule_peer_update(Peer& peer, const net::Prefix& prefix) {
+void BgpRouter::schedule_peer_update(Peer& peer, std::uint32_t slot) {
   if (!peer.session->established()) return;
   AttrSetRef attrs;
-  const ExportAction action = evaluate_export(peer, prefix, attrs);
+  const ExportAction action = evaluate_export(peer, slot, attrs);
   const bool announce = action == ExportAction::kAnnounce;
   const bool gated = (announce || config_.timers.mrai_applies_to_withdrawals) &&
                      peer_mrai(peer) > core::Duration::zero();
@@ -402,39 +486,25 @@ void BgpRouter::schedule_peer_update(Peer& peer, const net::Prefix& prefix) {
     // MRAI-gated announcements queued. Inside a TxBatch the send is
     // deferred to the batch flush so same-bundle prefixes pack into one
     // multi-NLRI UPDATE.
-    peer.pending.erase(prefix);
+    peer.pending.erase(slot);
     if (tx_batch_depth_ > 0) {
-      peer.batch_dirty.insert(prefix);
+      peer.batch_dirty.insert(slot);
       return;
     }
-    UpdateMessage msg;
+    const net::Prefix& prefix = prefix_index_.prefix(slot);
+    UpdateGroups groups;
+    std::vector<net::Prefix> withdrawals;
     if (announce) {
       if (!peer.rib_out.advertise(prefix, attrs)) return;  // duplicate
-      msg.attributes = *attrs;
-      msg.nlri.push_back(prefix);
+      groups.push_back({attrs, {prefix}});
     } else {
       if (!peer.rib_out.withdraw(prefix)) return;  // never advertised
-      msg.withdrawn.push_back(prefix);
+      withdrawals.push_back(prefix);
     }
-    ++counters_.updates_tx;
-    init_metrics();
-    if (updates_tx_metric_ != nullptr) updates_tx_metric_->inc();
-    logger().log(loop().now(), core::LogLevel::kDebug, session_log_name(),
-                 "update_tx",
-                 "to " + peer.session->peer_as().to_string() + " " +
-                     msg.to_string());
-    if (auto* tel = telemetry(); tel != nullptr && tel->tracing()) {
-      auto span = telemetry::TraceSpan::instant(loop().now(), "bgp",
-                                                "update_tx", session_log_name());
-      span.arg("to", peer.session->peer_as().to_string())
-          .arg("nlri", static_cast<std::int64_t>(msg.nlri.size()))
-          .arg("withdrawn", static_cast<std::int64_t>(msg.withdrawn.size()));
-      tel->emit(span);
-    }
-    peer.session->send_update(msg);
+    emit_updates(peer, groups, withdrawals);
     return;
   }
-  peer.pending.insert(prefix);
+  peer.pending.insert(slot);
   if (config_.timers.mrai_style == MraiStyle::kPeriodicQuagga) {
     // The free-running advertisement timer (armed at session
     // establishment) will flush this at its next tick.
@@ -471,30 +541,21 @@ void BgpRouter::flush_peer(Peer& peer) {
       }
     }
   }
+  peer.pending.take_sorted(prefix_index_, flush_slots_);
   std::vector<net::Prefix> withdrawals;
-  withdrawals.reserve(peer.pending.size());
-  // Announcement groups keyed by attribute bundle (one bundle per UPDATE).
-  // Interned handles make the group lookup a pointer compare.
-  std::vector<std::pair<AttrSetRef, std::vector<net::Prefix>>> groups;
-  groups.reserve(peer.pending.size());
-  for (const auto& prefix : peer.pending) {
+  withdrawals.reserve(flush_slots_.size());
+  UpdateGroups groups;
+  groups.reserve(flush_slots_.size());
+  for (const std::uint32_t slot : flush_slots_) {
+    const net::Prefix& prefix = prefix_index_.prefix(slot);
     AttrSetRef attrs;
-    if (evaluate_export(peer, prefix, attrs) == ExportAction::kAnnounce) {
+    if (evaluate_export(peer, slot, attrs) == ExportAction::kAnnounce) {
       if (!peer.rib_out.advertise(prefix, attrs)) continue;  // unchanged
-      auto it = std::find_if(groups.begin(), groups.end(),
-                             [&](const auto& g) { return g.first == attrs; });
-      if (it == groups.end()) {
-        groups.push_back({attrs, {prefix}});
-      } else {
-        // lint: alloc-ok(grows the per-bundle NLRI list; amortized across
-        // the burst and bounded by the pending set just reserved for)
-        it->second.push_back(prefix);
-      }
+      add_to_group(groups, attrs, prefix);
     } else {
       if (peer.rib_out.withdraw(prefix)) withdrawals.push_back(prefix);
     }
   }
-  peer.pending.clear();
   emit_updates(peer, groups, withdrawals);
 }
 
@@ -507,6 +568,9 @@ void BgpRouter::emit_updates(Peer& peer, UpdateGroups& groups,
   for (auto& [attrs, nlri] : groups) {
     UpdateMessage m;
     m.attributes = *attrs;
+    // Exported bundles are shared by every peer of one export class; the
+    // NEXT_HOP is this peering's own address.
+    m.attributes.next_hop = peer.config.local_address;
     m.nlri = std::move(nlri);
     messages.push_back(std::move(m));
   }
@@ -540,20 +604,20 @@ void BgpRouter::emit_updates(Peer& peer, UpdateGroups& groups,
 void BgpRouter::flush_tx_batches() {
   for (auto& [port, peer] : peers_) {
     if (peer.batch_dirty.empty()) continue;
-    std::set<net::Prefix> dirty;
-    dirty.swap(peer.batch_dirty);
+    peer.batch_dirty.take_sorted(prefix_index_, batch_slots_);
     if (!peer.session->established()) continue;
     // Export state is re-evaluated now, against the final Loc-RIB of the
     // burst — intermediate states within one batch never hit the wire
     // (exactly the coalescing the MRAI flush path always did).
     std::vector<net::Prefix> withdrawals;
-    withdrawals.reserve(dirty.size());
+    withdrawals.reserve(batch_slots_.size());
     UpdateGroups groups;
-    groups.reserve(dirty.size());
+    groups.reserve(batch_slots_.size());
     bool spilled = false;
-    for (const auto& prefix : dirty) {
+    for (const std::uint32_t slot : batch_slots_) {
+      const net::Prefix& prefix = prefix_index_.prefix(slot);
       AttrSetRef attrs;
-      const ExportAction action = evaluate_export(peer, prefix, attrs);
+      const ExportAction action = evaluate_export(peer, slot, attrs);
       const bool announce = action == ExportAction::kAnnounce;
       const bool gated =
           (announce || config_.timers.mrai_applies_to_withdrawals) &&
@@ -561,21 +625,13 @@ void BgpRouter::flush_tx_batches() {
       if (gated) {
         // The export flipped announce/withdraw since it was queued and is
         // now subject to MRAI: hand it to the gated machinery.
-        peer.pending.insert(prefix);
+        peer.pending.insert(slot);
         spilled = true;
         continue;
       }
       if (announce) {
         if (!peer.rib_out.advertise(prefix, attrs)) continue;  // duplicate
-        auto it = std::find_if(groups.begin(), groups.end(),
-                               [&](const auto& g) { return g.first == attrs; });
-        if (it == groups.end()) {
-          groups.push_back({attrs, {prefix}});
-        } else {
-          // lint: alloc-ok(grows the per-bundle NLRI list; amortized
-          // across the burst and bounded by the dirty set reserved for)
-          it->second.push_back(prefix);
-        }
+        add_to_group(groups, attrs, prefix);
       } else {
         if (peer.rib_out.withdraw(prefix)) withdrawals.push_back(prefix);
       }
@@ -647,6 +703,23 @@ std::vector<const Session*> BgpRouter::sessions() const {
   out.reserve(peers_.size());
   for (const auto& [port, peer] : peers_) out.push_back(peer.session.get());
   return out;
+}
+
+std::vector<core::PortId> BgpRouter::peer_ports() const {
+  std::vector<core::PortId> out;
+  out.reserve(peers_.size());
+  for (const auto& [port, peer] : peers_) out.push_back(port);
+  return out;
+}
+
+const PeerConfig* BgpRouter::peer_config(core::PortId port) const {
+  const auto it = peers_.find(port);
+  return it == peers_.end() ? nullptr : &it->second.config;
+}
+
+const AdjRibOut* BgpRouter::adj_rib_out(core::PortId port) const {
+  const auto it = peers_.find(port);
+  return it == peers_.end() ? nullptr : &it->second.rib_out;
 }
 
 std::optional<core::PortId> BgpRouter::fib_lookup(net::Ipv4Addr dst) const {

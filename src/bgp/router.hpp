@@ -13,13 +13,13 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
 #include "bgp/damping.hpp"
 #include "bgp/decision.hpp"
 #include "bgp/policy.hpp"
+#include "bgp/prefix_set.hpp"
 #include "bgp/rib.hpp"
 #include "bgp/session.hpp"
 #include "bgp/types.hpp"
@@ -44,9 +44,9 @@ struct RouterConfig {
   /// RIB storage layout (kReference keeps the node-based containers for
   /// equivalence testing; behaviour is byte-identical either way).
   RibLayout rib_layout{RibLayout::kCompact};
-  /// Attribute-handle registry shared across the simulation (the Experiment
-  /// wires one instance through every router and the speaker). Null makes
-  /// each RIB create a private registry, which standalone-router tests use.
+  /// Attribute store shared across the simulation (the Experiment wires one
+  /// instance through every router, the speaker and the controller). Null
+  /// gives the router a private store, which standalone-router tests use.
   AttrRegistryRef attr_registry{};
 };
 
@@ -74,12 +74,7 @@ struct RouterCounters {
 
 class BgpRouter : public net::Node, public SessionHost {
  public:
-  explicit BgpRouter(RouterConfig config)
-      : config_{std::move(config)},
-        adj_rib_in_{config_.rib_layout, config_.attr_registry},
-        loc_rib_{config_.rib_layout, config_.attr_registry},
-        rib_out_store_{config_.rib_layout, config_.attr_registry},
-        dampener_{config_.damping} {}
+  explicit BgpRouter(RouterConfig config);
 
   // --- configuration (before or after start) ---------------------------
 
@@ -127,6 +122,13 @@ class BgpRouter : public net::Node, public SessionHost {
     return local_prefixes_.count(prefix) > 0;
   }
   const FlapDampener& dampener() const { return dampener_; }
+  /// Ports with a configured peering, ascending.
+  std::vector<core::PortId> peer_ports() const;
+  /// The peering on `port`, or nullptr.
+  const PeerConfig* peer_config(core::PortId port) const;
+  /// What was last advertised to the peer on `port`, or nullptr. Bundles
+  /// carry no NEXT_HOP: it is stamped per peer at send time.
+  const AdjRibOut* adj_rib_out(core::PortId port) const;
 
   /// Report deterministic RIB footprints (high-water marks computed with the
   /// core/mem_stats.hpp allocation model) into `stats`.
@@ -142,12 +144,16 @@ class BgpRouter : public net::Node, public SessionHost {
     PeerConfig config;
     std::unique_ptr<Session> session;
     AdjRibOut rib_out;
-    /// Prefixes whose export state must be re-evaluated at next flush.
-    std::set<net::Prefix> pending;
-    /// Prefixes touched inside the current TxBatch whose ungated UPDATE is
-    /// deferred to the batch flush (where same-bundle prefixes coalesce
+    /// Export-cache class of this peering (kUncachedExport when a prefix
+    /// filter or route map makes the export depend on more than the
+    /// bundle).
+    std::uint64_t export_class{0};
+    /// Prefix slots whose export state must be re-evaluated at next flush.
+    PrefixSet pending;
+    /// Prefix slots touched inside the current TxBatch whose ungated UPDATE
+    /// is deferred to the batch flush (where same-bundle prefixes coalesce
     /// into one multi-NLRI message).
-    std::set<net::Prefix> batch_dirty;
+    PrefixSet batch_dirty;
     bool mrai_running{false};
     core::TimerId mrai_timer{core::TimerId::invalid()};
     std::uint64_t epoch{0};
@@ -171,13 +177,16 @@ class BgpRouter : public net::Node, public SessionHost {
   /// reuse-time re-evaluation.
   void note_flap(core::SessionId session, const net::Prefix& prefix,
                  bool withdrawal);
-  /// Queue (or immediately send) the current state of `prefix` to `peer`.
-  void schedule_peer_update(Peer& peer, const net::Prefix& prefix);
-  /// Evaluate export policy: the UPDATE content for `prefix` towards `peer`
-  /// right now (announce with attrs / withdraw / nothing).
-  enum class ExportAction { kAnnounce, kWithdraw, kNone };
-  ExportAction evaluate_export(Peer& peer, const net::Prefix& prefix,
+  /// Queue (or immediately send) the current state of one prefix slot to
+  /// `peer`.
+  void schedule_peer_update(Peer& peer, std::uint32_t slot);
+  /// Evaluate export policy: the UPDATE content for the slot's prefix
+  /// towards `peer` right now (announce with attrs, or withdraw).
+  enum class ExportAction { kAnnounce, kWithdraw };
+  ExportAction evaluate_export(const Peer& peer, std::uint32_t slot,
                                AttrSetRef& out_attrs);
+  /// Export-cache class of a peering (see Peer::export_class).
+  std::uint64_t export_class_of(const PeerPolicy& policy) const;
   /// Send everything pending for the peer; groups NLRI by attribute bundle.
   void flush_peer(Peer& peer);
   void arm_mrai(Peer& peer);
@@ -207,12 +216,34 @@ class BgpRouter : public net::Node, public SessionHost {
   void flush_tx_batches();
 
   void forward_data(const net::Packet& packet);
-  std::optional<Relationship> relationship_of_best(const Route& best);
+
+  /// The Loc-RIB winner of one prefix slot as export sees it. recompute
+  /// refreshes it whenever the winner changes, so flushes read the winner
+  /// and its learned relationship here instead of re-resolving them for
+  /// every peer.
+  struct ExportSource {
+    AttrSetRef best;
+    core::SessionId learned_from{core::SessionId::invalid()};
+    /// Relationship of the session `best` was learned on; empty for a
+    /// locally-originated winner.
+    std::optional<Relationship> learned_rel;
+    bool present{false};
+  };
 
   RouterConfig config_;
+  /// The attribute store (shared, or private to this router).
+  AttrRegistryRef store_;
+  /// The bundle of every locally-originated candidate.
+  AttrSetRef local_attrs_;
   bool started_{false};
   std::map<core::PortId, Peer> peers_;
   std::unordered_map<std::uint32_t, Peer*> peers_by_session_;
+  PrefixIndex prefix_index_;
+  /// By prefix slot.
+  std::vector<ExportSource> sources_;
+  /// Drain buffers of flush_peer and flush_tx_batches.
+  std::vector<std::uint32_t> flush_slots_;
+  std::vector<std::uint32_t> batch_slots_;
   AdjRibIn adj_rib_in_;
   LocRib loc_rib_;
   /// Shared advertised-state store; every Peer's rib_out is one column.

@@ -88,7 +88,7 @@ void FallbackRouting::on_route_update(const speaker::Peering& peering,
     }
   }
   if (update.nlri.empty()) return;
-  const auto attrs = bgp::AttrSetRef::intern(update.attributes);
+  const auto attrs = speaker_.attr_store().intern(update.attributes);
   for (const auto& prefix : update.nlri) {
     auto& slot = external_routes_[prefix][peering.id];
     if (slot == attrs) continue;

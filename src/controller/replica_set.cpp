@@ -178,7 +178,7 @@ void ControllerReplicaSet::apply_delta(IdrShadowState& shadow,
         if (it->second.empty()) shadow.external_routes.erase(it);
       }
       if (delta.update.nlri.empty()) break;
-      const auto attrs = bgp::AttrSetRef::intern(delta.update.attributes);
+      const auto attrs = speaker_.attr_store().intern(delta.update.attributes);
       for (const auto& prefix : delta.update.nlri) {
         shadow.external_routes[prefix][delta.peering] = attrs;
       }

@@ -3,7 +3,7 @@
 // Scale benches gate peak memory, but OS RSS depends on the allocator, the
 // number of worker threads and malloc arena reuse — jobs=1 vs jobs=4 would
 // never be byte-identical. Instead every byte-heavy component (RIB storage,
-// the attribute intern pool, flow tables, speaker relay RIBs) reports into a
+// the attribute store, flow tables, speaker relay RIBs) reports into a
 // MemStats snapshot using a fixed allocation model: container footprints are
 // computed from element counts and capacities with the node-size formulas
 // below, so the reported numbers depend only on the simulated workload.
@@ -50,12 +50,14 @@ struct MemStats {
   std::uint64_t rib_in{0};        ///< Adj-RIB-In candidate storage (peak).
   std::uint64_t loc_rib{0};       ///< Loc-RIB winner storage (peak).
   std::uint64_t rib_out{0};       ///< Adj-RIB-Out advertised state (peak).
-  std::uint64_t attr_pool{0};     ///< Live interned attribute bundles.
-  /// Shared attribute-handle registry of the compact layouts (one per
-  /// simulation). Scales with distinct bundles like attr_pool, not with
+  /// The simulation's attribute store: live bundles, their value index and
+  /// the export cache.
+  std::uint64_t attr_pool{0};
+  /// The store's id table behind the compact layouts' 4-byte attribute
+  /// indices. Scales with distinct bundles like attr_pool, not with
   /// (prefix x peer) entries like the RIB categories, so it is reported on
-  /// its own axis. Zero under the reference layout, whose 16-byte inline
-  /// handles are charged to the RIB categories instead.
+  /// its own axis. Zero under the reference layout, whose inline handles
+  /// are charged to the RIB categories instead.
   std::uint64_t attr_registry{0};
   std::uint64_t flow_tables{0};   ///< SDN flow tables + lookup index.
   std::uint64_t speaker_ribs{0};  ///< Cluster speaker per-peering relay RIBs.

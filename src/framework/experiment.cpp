@@ -44,9 +44,9 @@ net::LinkParams Experiment::link_params(const topology::LinkSpec& link) const {
 }
 
 void Experiment::build() {
-  // One attr-handle registry for the whole simulation: every compact RIB of
-  // every router (and the speaker) stores 4-byte indices into it, so a
-  // distinct bundle pays one handle entry network-wide.
+  // One attribute store for the whole simulation: every router, the speaker
+  // and the controller intern into it, and every compact RIB stores 4-byte
+  // indices into it, so a distinct bundle exists once network-wide.
   attr_registry_ = std::make_shared<bgp::AttrRegistry>();
 
   // Nodes first: routers for legacy ASes, switches for members.
@@ -524,8 +524,8 @@ core::MemStats Experiment::memory_stats() const {
   for (const auto& [as, sw] : switches_) {
     stats.flow_tables += sw->table().approx_bytes();
   }
-  stats.attr_pool += bgp::attr_pool_live_bytes();
-  stats.attr_registry += attr_registry_->bytes();
+  stats.attr_pool += attr_registry_->pool_bytes();
+  stats.attr_registry += attr_registry_->index_bytes();
   return stats;
 }
 

@@ -264,10 +264,14 @@ class Experiment {
   const std::set<core::AsNumber>& members() const { return members_; }
 
   /// Deterministic memory snapshot (core/mem_stats.hpp): RIB peaks from
-  /// every router and the speaker, at-collection footprints of the attr
-  /// intern pool and the member flow tables. Byte-identical at any
+  /// every router and the speaker, at-collection footprints of the
+  /// attribute store and the member flow tables. Byte-identical at any
   /// BGPSDN_JOBS — no OS RSS involved.
   core::MemStats memory_stats() const;
+
+  /// The simulation's attribute store (shared by every router, the speaker
+  /// and the controller). It outlives the Experiment while held.
+  const bgp::AttrRegistryRef& attr_registry() const { return attr_registry_; }
 
  private:
   void build();

@@ -41,7 +41,7 @@ void ClusterBgpSpeaker::announce(PeeringId id, const net::Prefix& prefix,
   if (crashed_) return;
   Slot& slot = *slots_.at(id);
   if (!slot.session->established()) return;
-  if (!slot.rib_out.advertise(prefix, bgp::AttrSetRef::intern(attrs))) {
+  if (!slot.rib_out.advertise(prefix, attr_registry_->intern(attrs))) {
     return;  // duplicate
   }
   bgp::UpdateMessage m;
@@ -231,7 +231,7 @@ void ClusterBgpSpeaker::session_update(bgp::Session& session,
   ++counters_.updates_rx;
   for (const auto& prefix : update.withdrawn) slot->rib_in.erase(prefix);
   if (!update.nlri.empty()) {
-    const auto attrs = bgp::AttrSetRef::intern(update.attributes);
+    const auto attrs = attr_registry_->intern(update.attributes);
     for (const auto& prefix : update.nlri) slot->rib_in[prefix] = attrs;
   }
   if (auto* tel = telemetry()) tel->metrics().counter("speaker.updates_rx").inc();

@@ -74,7 +74,13 @@ class ClusterBgpSpeaker : public net::Node, public bgp::SessionHost {
                              bgp::AttrRegistryRef attr_registry = nullptr)
       : timers_{timers},
         rib_layout_{rib_layout},
-        attr_registry_{std::move(attr_registry)} {}
+        attr_registry_{attr_registry != nullptr
+                           ? std::move(attr_registry)
+                           : std::make_shared<bgp::AttrRegistry>()} {}
+
+  /// The attribute store of the speaker's RIBs (the simulation's shared one
+  /// when wired by the Experiment); the controller interns into it too.
+  bgp::AttrRegistry& attr_store() const { return *attr_registry_; }
 
   void set_listener(SpeakerListener* listener) { listener_ = listener; }
 

@@ -7,6 +7,12 @@
 namespace bgpsdn::bgp {
 namespace {
 
+/// The bundles of these tests, in one store for the whole binary.
+AttrSetRef intern(PathAttributes attrs) {
+  static AttrRegistry store;
+  return store.intern(std::move(attrs));
+}
+
 Route make_route(const char* prefix, std::uint32_t session,
                  std::vector<std::uint32_t> path, std::uint32_t local_pref = 100) {
   Route r;
@@ -17,7 +23,7 @@ Route make_route(const char* prefix, std::uint32_t session,
   attrs.as_path = AsPath{std::move(hops)};
   attrs.local_pref = local_pref;
   attrs.next_hop = net::Ipv4Addr{172, 16, 0, 1};
-  r.attributes = AttrSetRef::intern(std::move(attrs));
+  r.attributes = intern(std::move(attrs));
   r.learned_from = core::SessionId{session};
   r.peer_bgp_id = net::Ipv4Addr{10, 0, 0, session % 256 == 0 ? 1 : session};
   r.peer_address = net::Ipv4Addr{172, 16, session, 1};
@@ -29,7 +35,7 @@ template <typename Fn>
 void edit_attrs(Route& r, Fn&& fn) {
   PathAttributes attrs = *r.attributes;
   fn(attrs);
-  r.attributes = AttrSetRef::intern(std::move(attrs));
+  r.attributes = intern(std::move(attrs));
 }
 
 TEST(AdjRibIn, PutReplacesPerSession) {
@@ -100,10 +106,10 @@ TEST(AdjRibOut, SuppressesDuplicateAdvertisements) {
   PathAttributes attrs;
   attrs.as_path = AsPath{{core::AsNumber{1}}};
   const auto p = *net::Prefix::parse("10.0.0.0/16");
-  EXPECT_TRUE(out.advertise(p, AttrSetRef::intern(attrs)));
-  EXPECT_FALSE(out.advertise(p, AttrSetRef::intern(attrs)));  // suppressed
+  EXPECT_TRUE(out.advertise(p, intern(attrs)));
+  EXPECT_FALSE(out.advertise(p, intern(attrs)));  // suppressed
   attrs.as_path = AsPath{{core::AsNumber{2}, core::AsNumber{1}}};
-  EXPECT_TRUE(out.advertise(p, AttrSetRef::intern(attrs)));  // changed attrs
+  EXPECT_TRUE(out.advertise(p, intern(attrs)));  // changed attrs
   EXPECT_TRUE(out.withdraw(p));
   EXPECT_FALSE(out.withdraw(p));  // nothing left to withdraw
 }

@@ -10,6 +10,12 @@ namespace bgpsdn::controller {
 using sdn::Dpid;
 namespace {
 
+/// The bundles of these tests, in one store for the whole binary.
+bgp::AttrSetRef intern(bgp::PathAttributes attrs) {
+  static bgp::AttrRegistry store;
+  return store.intern(std::move(attrs));
+}
+
 TEST(Dijkstra, SimpleChain) {
   AdjacencyList g;
   g.add_edge(1, 2, 1);
@@ -150,7 +156,7 @@ class AsTopologyTest : public ::testing::Test {
     for (const auto as : path) hops.emplace_back(as);
     bgp::PathAttributes attrs;
     attrs.as_path = bgp::AsPath{std::move(hops)};
-    r.attributes = bgp::AttrSetRef::intern(std::move(attrs));
+    r.attributes = intern(std::move(attrs));
     return r;
   }
 
@@ -293,7 +299,7 @@ class SubClusterTest : public ::testing::Test {
     for (const auto as : path) hops.emplace_back(as);
     bgp::PathAttributes attrs;
     attrs.as_path = bgp::AsPath{std::move(hops)};
-    r.attributes = bgp::AttrSetRef::intern(std::move(attrs));
+    r.attributes = intern(std::move(attrs));
     return r;
   }
 

@@ -221,8 +221,8 @@ TEST(RibLayoutEquivalence, InternetLikeChurn) {
 
 TEST(RibLayoutEquivalence, ByteIdenticalAcrossJobCounts) {
   // Both layouts, two seeds, raced across worker threads: the captures must
-  // not depend on the job count. The shared AttrRegistry and the per-thread
-  // intern pool are the structures under suspicion here.
+  // not depend on the job count. The per-simulation attribute store and its
+  // export cache are the structures under suspicion here.
   const auto run_with_jobs = [](std::size_t jobs) {
     std::vector<LayoutCapture> caps(4);
     parallel_for_index(4, jobs, [&](std::size_t i) {

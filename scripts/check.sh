@@ -365,8 +365,9 @@ fi
 # both sanitizers and run every fault/chaos/fuzz test, plus the refcounted
 # hot-path machinery: the attribute store (non-atomic refcounts, orphaned
 # bundles, export-cache chains unlinked on free), the dense pending sets,
-# the shared encode buffers, the COW byte payloads, and the slot-slab event
-# loop under churn.
+# the shared encode buffers, the COW byte payloads, the slot-slab event
+# loop under churn, and the logger's on-demand detail callables (they
+# capture the emit site's locals by reference and run inside the log call).
 echo "===== asan+ubsan"
 cmake -B build-asan "${GENERATOR[@]}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -375,7 +376,7 @@ cmake -B build-asan "${GENERATOR[@]}" \
 cmake --build build-asan -j "$(nproc)" \
   --target test_framework test_bgp test_net test_core test_controller bgpsdn_run
 ./build-asan/tests/test_framework \
-  --gtest_filter='FaultPlanParse.*:FaultInjector.*:FaultDsl.*:FaultDeterminism.*:CrashRecovery.*:ExportOracle.*:AttrStoreLifetime.*'
+  --gtest_filter='FaultPlanParse.*:FaultInjector.*:FaultDsl.*:FaultDeterminism.*:CrashRecovery.*:ExportOracle.*:AttrStoreLifetime.*:LogTextEquivalence.*'
 ./build-asan/tests/test_controller --gtest_filter='ReplicaSet*'
 # The HA chaos scenario + plan under ASan: elections, partition deposal and
 # the degrade/recover hooks all tear subsystems down mid-flight.
@@ -384,8 +385,8 @@ cmake --build build-asan -j "$(nproc)" \
 ./build-asan/tests/test_bgp \
   --gtest_filter='*CodecFuzz*:*LiveSessionFuzz*:AttrIntern.*:AttrStore.*:AttrExportCache.*:AttrRegistry.*:PrefixIndex.*:PrefixSet.*:EncodeShared.*'
 ./build-asan/tests/test_net \
-  --gtest_filter='*LinkParams*:*RuntimeLoss*:*Corruption*:Bytes.*'
-./build-asan/tests/test_core --gtest_filter='EventLoop.*'
+  --gtest_filter='*LinkParams*:*RuntimeLoss*:*Corruption*:Bytes.*:AddressFormat.*'
+./build-asan/tests/test_core --gtest_filter='EventLoop.*:Logger.*'
 
 # ThreadSanitizer job: rebuild the test binaries with -fsanitize=thread and
 # run everything that exercises the parallel trial runners. Simulations are

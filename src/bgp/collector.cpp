@@ -74,8 +74,9 @@ void RouteCollector::session_established(Session&) {}
 
 void RouteCollector::session_down(Session& session, const std::string& reason) {
   logger().log(loop().now(), core::LogLevel::kInfo, session_log_name(),
-               "session_down",
-               "peer " + session.peer_as().to_string() + ": " + reason);
+               "session_down", [&] {
+                 return "peer " + session.peer_as().to_string() + ": " + reason;
+               });
 }
 
 void RouteCollector::session_update(Session& session, const UpdateMessage& update) {
@@ -87,15 +88,17 @@ void RouteCollector::session_update(Session& session, const UpdateMessage& updat
         {loop().now(), session.peer_as(), true, prefix, update.attributes.as_path});
   }
   logger().log(loop().now(), core::LogLevel::kDebug, session_log_name(),
-               "collector_rx",
-               "from " + session.peer_as().to_string() + " " + update.to_string());
+               "collector_rx", [&] {
+                 return "from " + session.peer_as().to_string() + " " +
+                        update.to_string();
+               });
 }
 
 core::EventLoop& RouteCollector::session_loop() { return loop(); }
 core::Rng& RouteCollector::session_rng() { return rng(); }
 core::Logger& RouteCollector::session_logger() { return logger(); }
-std::string RouteCollector::session_log_name() const {
-  return "collector." + name();
+const std::string& RouteCollector::session_log_name() const {
+  return component_name(log_name_, "collector.");
 }
 
 core::TimePoint RouteCollector::last_activity() const {

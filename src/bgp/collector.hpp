@@ -49,7 +49,7 @@ class RouteCollector : public net::Node, public SessionHost {
   core::EventLoop& session_loop() override;
   core::Rng& session_rng() override;
   core::Logger& session_logger() override;
-  std::string session_log_name() const override;
+  const std::string& session_log_name() const override;
   telemetry::Telemetry* session_telemetry() override { return telemetry(); }
 
   const std::vector<RouteObservation>& observations() const { return tape_; }
@@ -75,6 +75,7 @@ class RouteCollector : public net::Node, public SessionHost {
   std::unordered_map<std::uint32_t, Peer> by_port_;
   std::unordered_map<std::uint32_t, Peer*> by_session_;
   std::vector<RouteObservation> tape_;
+  mutable std::string log_name_;
 };
 
 }  // namespace bgpsdn::bgp

@@ -89,7 +89,7 @@ void BgpRouter::attach_host(core::PortId port, const net::Prefix& prefix) {
 void BgpRouter::originate(const net::Prefix& prefix) {
   local_prefixes_.emplace(prefix, loop().now());
   logger().log(loop().now(), core::LogLevel::kInfo, session_log_name(),
-               "origin_announce", prefix.to_string());
+               "origin_announce", [&] { return prefix.to_string(); });
   TxBatch batch{*this};
   recompute(prefix);
 }
@@ -97,7 +97,7 @@ void BgpRouter::originate(const net::Prefix& prefix) {
 void BgpRouter::withdraw_origin(const net::Prefix& prefix) {
   if (local_prefixes_.erase(prefix) == 0) return;
   logger().log(loop().now(), core::LogLevel::kInfo, session_log_name(),
-               "origin_withdraw", prefix.to_string());
+               "origin_withdraw", [&] { return prefix.to_string(); });
   TxBatch batch{*this};
   recompute(prefix);
 }
@@ -152,7 +152,8 @@ void BgpRouter::session_transmit(Session& session, net::Bytes wire) {
 void BgpRouter::session_established(Session& session) {
   Peer* peer = peer_of(session);
   logger().log(loop().now(), core::LogLevel::kInfo, session_log_name(),
-               "session_up", "peer " + session.peer_as().to_string());
+               "session_up",
+               [&] { return "peer " + session.peer_as().to_string(); });
   if (config_.timers.mrai_style == MraiStyle::kPeriodicQuagga &&
       peer_mrai(*peer) > core::Duration::zero()) {
     // Initial table transfer goes out promptly; afterwards the
@@ -173,8 +174,9 @@ void BgpRouter::session_established(Session& session) {
 void BgpRouter::session_down(Session& session, const std::string& reason) {
   Peer* peer = peer_of(session);
   logger().log(loop().now(), core::LogLevel::kInfo, session_log_name(),
-               "session_down",
-               "peer " + session.peer_as().to_string() + ": " + reason);
+               "session_down", [&] {
+                 return "peer " + session.peer_as().to_string() + ": " + reason;
+               });
   ++peer->epoch;
   peer->rib_out.clear();
   peer->pending.clear();
@@ -192,8 +194,10 @@ void BgpRouter::session_update(Session& session, const UpdateMessage& update) {
   Peer* peer = peer_of(session);
   ++counters_.updates_rx;
   logger().log(loop().now(), core::LogLevel::kDebug, session_log_name(),
-               "update_rx",
-               "from " + session.peer_as().to_string() + " " + update.to_string());
+               "update_rx", [&] {
+                 return "from " + session.peer_as().to_string() + " " +
+                        update.to_string();
+               });
   const auto routes = update.nlri.size() + update.withdrawn.size();
   if (auto* tel = telemetry(); tel != nullptr && tel->tracing()) {
     auto span = telemetry::TraceSpan::instant(loop().now(), "bgp", "update_rx",
@@ -228,8 +232,12 @@ void BgpRouter::init_metrics() {
     decision_candidates_metric_ = &metrics.histogram("bgp.decision.candidates");
   }
 }
-std::string BgpRouter::session_log_name() const {
-  return "bgp." + (name().empty() ? config_.asn.to_string() : name());
+const std::string& BgpRouter::session_log_name() const {
+  // Built once the node is attached: its name is final from then on.
+  if (log_name_.empty() || !attached()) {
+    log_name_ = "bgp." + (name().empty() ? config_.asn.to_string() : name());
+  }
+  return log_name_;
 }
 
 // --- update processing ------------------------------------------------------
@@ -302,9 +310,10 @@ void BgpRouter::note_flap(core::SessionId session, const net::Prefix& prefix,
   if (!verdict.suppressed) return;
   ++counters_.routes_suppressed;
   logger().log(loop().now(), core::LogLevel::kInfo, session_log_name(),
-               "route_damped",
-               prefix.to_string() + " penalty " +
-                   std::to_string(static_cast<int>(verdict.penalty)));
+               "route_damped", [&] {
+                 return prefix.to_string() + " penalty " +
+                        std::to_string(static_cast<int>(verdict.penalty));
+               });
   // Re-evaluate once the penalty decays to the reuse threshold.
   loop().schedule(verdict.reuse_after + core::Duration::millis(1),
                   [this, prefix] {
@@ -366,7 +375,7 @@ void BgpRouter::recompute(const net::Prefix& prefix) {
     if (host_ports_.count(prefix) == 0) fib_.erase(prefix);
     ++counters_.best_changes;
     logger().log(loop().now(), core::LogLevel::kInfo, session_log_name(),
-                 "best_lost", prefix.to_string());
+                 "best_lost", [&] { return prefix.to_string(); });
   } else {
     const bool changed = current == nullptr ||
                          current->attributes != best.attributes ||
@@ -391,12 +400,13 @@ void BgpRouter::recompute(const net::Prefix& prefix) {
       fib_.insert(prefix, via->port);
     }
     ++counters_.best_changes;
-    // lint: alloc-ok(the log line is built only on best-path change
-    // events, not per decision run)
     logger().log(loop().now(), core::LogLevel::kInfo, session_log_name(),
-                 "best_changed",
-                 prefix.to_string() + " via [" +
-                     best.attributes->as_path.to_string() + "]");
+                 "best_changed", [&] {
+                   // lint: alloc-ok(runs only when a text consumer reads
+                   // the record: retention, echo or a text sink)
+                   return prefix.to_string() + " via [" +
+                          best.attributes->as_path.to_string() + "]";
+                 });
   }
 
   if (auto* tel = telemetry()) {
@@ -582,11 +592,13 @@ void BgpRouter::emit_updates(Peer& peer, UpdateGroups& groups,
     ++counters_.updates_tx;
     init_metrics();
     if (updates_tx_metric_ != nullptr) updates_tx_metric_->inc();
-    // lint: alloc-ok(one debug line per UPDATE actually sent; TX is paced
-    // by MRAI/batch ticks, and the text is part of the replayable trace)
     logger().log(loop().now(), core::LogLevel::kDebug, session_log_name(),
-                 "update_tx",
-                 "to " + peer.session->peer_as().to_string() + " " + m.to_string());
+                 "update_tx", [&] {
+                   // lint: alloc-ok(runs only when a text consumer reads
+                   // the record: retention, echo or a text sink)
+                   return "to " + peer.session->peer_as().to_string() + " " +
+                          m.to_string();
+                 });
     if (auto* tel = telemetry(); tel != nullptr && tel->tracing()) {
       auto span = telemetry::TraceSpan::instant(loop().now(), "bgp",
                                                 "update_tx", session_log_name());

@@ -105,7 +105,7 @@ class BgpRouter : public net::Node, public SessionHost {
   core::EventLoop& session_loop() override;
   core::Rng& session_rng() override;
   core::Logger& session_logger() override;
-  std::string session_log_name() const override;
+  const std::string& session_log_name() const override;
   telemetry::Telemetry* session_telemetry() override;
 
   // --- introspection ------------------------------------------------------
@@ -264,6 +264,7 @@ class BgpRouter : public net::Node, public SessionHost {
   telemetry::Counter* best_changes_metric_{nullptr};
   telemetry::Counter* updates_tx_metric_{nullptr};
   telemetry::Histogram* decision_candidates_metric_{nullptr};
+  mutable std::string log_name_;
 };
 
 }  // namespace bgpsdn::bgp

@@ -30,11 +30,17 @@ const char* to_string(SessionState s) {
   return "?";
 }
 
-void Session::log(const std::string& event, const std::string& detail) {
+void Session::log(std::string_view event, core::LogDetail detail) {
   host_.session_logger().log(host_.session_loop().now(), core::LogLevel::kDebug,
-                             host_.session_log_name() + ".s" +
-                                 std::to_string(config_.id.value()),
-                             event, detail);
+                             log_name(), event, detail);
+}
+
+const std::string& Session::log_name() const {
+  if (log_name_.empty()) {
+    log_name_ = host_.session_log_name() + ".s" +
+                std::to_string(config_.id.value());
+  }
+  return log_name_;
 }
 
 void Session::init_metrics() {
@@ -69,8 +75,7 @@ void Session::transition(SessionState next) {
   }
   if (tel->tracing()) {
     auto span = telemetry::TraceSpan::instant(
-        host_.session_loop().now(), "bgp", "fsm",
-        host_.session_log_name() + ".s" + std::to_string(config_.id.value()));
+        host_.session_loop().now(), "bgp", "fsm", log_name());
     span.arg("from", to_string(prev)).arg("to", to_string(next));
     tel->emit(span);
   }
@@ -94,7 +99,8 @@ void Session::start() {
     transmit(open);
     transition(SessionState::kOpenSent);
     reset_hold_timer();
-    log("open_sent", "to " + config_.remote_address.to_string());
+    log("open_sent",
+        [&] { return "to " + config_.remote_address.to_string(); });
   });
 }
 
@@ -227,7 +233,7 @@ void Session::on_open(const OpenMessage& m) {
   transmit(KeepaliveMessage{});
   transition(SessionState::kOpenConfirm);
   reset_hold_timer();
-  log("open_rx", "peer " + peer_as_.to_string());
+  log("open_rx", [&] { return "peer " + peer_as_.to_string(); });
 }
 
 void Session::on_keepalive() {
@@ -262,7 +268,7 @@ void Session::enter_established() {
   transition(SessionState::kEstablished);
   reset_hold_timer();
   arm_keepalive_timer();
-  log("session_up", "peer " + peer_as_.to_string());
+  log("session_up", [&] { return "peer " + peer_as_.to_string(); });
   host_.session_established(*this);
 }
 

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/ids.hpp"
@@ -20,6 +21,7 @@
 
 namespace bgpsdn::core {
 class EventLoop;
+class LogDetail;
 class Logger;
 class Rng;
 }  // namespace bgpsdn::core
@@ -62,7 +64,8 @@ class SessionHost {
   virtual core::EventLoop& session_loop() = 0;
   virtual core::Rng& session_rng() = 0;
   virtual core::Logger& session_logger() = 0;
-  virtual std::string session_log_name() const = 0;
+  /// Log component of the host; a stable reference, not rebuilt per call.
+  virtual const std::string& session_log_name() const = 0;
 
   /// Telemetry hub for FSM/update instrumentation. Default: none (bare
   /// test hosts); attached nodes forward their network's hub.
@@ -147,7 +150,9 @@ class Session {
   void reset_hold_timer();
   void arm_keepalive_timer();
   void cancel_timers();
-  void log(const std::string& event, const std::string& detail);
+  void log(std::string_view event, core::LogDetail detail);
+  /// "<host>.s<id>", built on first use.
+  const std::string& log_name() const;
 
   SessionHost& host_;
   SessionConfig config_;
@@ -172,6 +177,7 @@ class Session {
   telemetry::Counter* updates_tx_metric_{nullptr};
   telemetry::Counter* updates_rx_metric_{nullptr};
   telemetry::Counter* transitions_metric_{nullptr};
+  mutable std::string log_name_;
 };
 
 }  // namespace bgpsdn::bgp

@@ -149,6 +149,9 @@ class IdrController : public ClusterController {
                       const sdn::OfPortStatus& status) override;
 
  private:
+  const std::string& idr_log_name() const {
+    return component_name(idr_log_name_, "idr.");
+  }
   void mark_dirty(const net::Prefix& prefix);
   void mark_all_dirty();
   /// Incremental mode's answer to a cluster-link change: note that the
@@ -188,6 +191,7 @@ class IdrController : public ClusterController {
   IdrCounters idr_counters_;
   FlowObserver flow_observer_;
   std::uint32_t programming_epoch_{0};
+  mutable std::string idr_log_name_;
 };
 
 }  // namespace bgpsdn::controller

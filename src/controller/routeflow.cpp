@@ -96,7 +96,9 @@ void GhostPeer::session_update(bgp::Session&, const bgp::UpdateMessage& update) 
 core::EventLoop& GhostPeer::session_loop() { return loop(); }
 core::Rng& GhostPeer::session_rng() { return rng(); }
 core::Logger& GhostPeer::session_logger() { return logger(); }
-std::string GhostPeer::session_log_name() const { return "ghost." + name(); }
+const std::string& GhostPeer::session_log_name() const {
+  return component_name(log_name_, "ghost.");
+}
 
 // --- RouteFlowController -----------------------------------------------------
 

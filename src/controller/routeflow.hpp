@@ -85,7 +85,7 @@ class GhostPeer : public net::Node, public bgp::SessionHost {
   core::EventLoop& session_loop() override;
   core::Rng& session_rng() override;
   core::Logger& session_logger() override;
-  std::string session_log_name() const override;
+  const std::string& session_log_name() const override;
   telemetry::Telemetry* session_telemetry() override { return telemetry(); }
 
  private:
@@ -99,6 +99,7 @@ class GhostPeer : public net::Node, public bgp::SessionHost {
   std::set<net::Prefix> injected_;
   /// Updates that arrived before the virtual session established.
   std::vector<bgp::UpdateMessage> backlog_;
+  mutable std::string log_name_;
 };
 
 class RouteFlowController : public ClusterController {

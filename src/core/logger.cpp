@@ -30,25 +30,38 @@ std::string LogRecord::to_string() const {
   return s;
 }
 
-void Logger::log(TimePoint when, LogLevel level, std::string component,
-                 std::string event, std::string detail) {
+void Logger::log(TimePoint when, LogLevel level, std::string_view component,
+                 std::string_view event, LogDetail detail) {
   if (level < min_level_) return;
-  LogRecord rec{when, level, std::move(component), std::move(event),
-                std::move(detail)};
+  const bool wants_text = retain_ || echo_ != nullptr || text_sinks_ > 0;
+  LogRecord rec{when, level, std::string{component}, std::string{event},
+                wants_text ? detail.render() : std::string{}};
   if (echo_ != nullptr) *echo_ << rec.to_string() << '\n';
   for (const auto& sink : sinks_) {
-    if (sink) sink(rec);
+    if (!sink.fn) continue;
+    if (sink.reads == SinkReads::kText || rec.detail.empty()) {
+      sink.fn(rec);
+      continue;
+    }
+    // A tags-only sink sees no text, whether or not another consumer built it.
+    std::string text;
+    text.swap(rec.detail);
+    sink.fn(rec);
+    text.swap(rec.detail);
   }
   if (retain_) records_.push_back(std::move(rec));
 }
 
-std::size_t Logger::add_sink(Sink sink) {
-  sinks_.push_back(std::move(sink));
+std::size_t Logger::add_sink(Sink sink, SinkReads reads) {
+  if (sink && reads == SinkReads::kText) ++text_sinks_;
+  sinks_.push_back({std::move(sink), reads});
   return sinks_.size() - 1;
 }
 
 void Logger::remove_sink(std::size_t id) {
-  if (id < sinks_.size()) sinks_[id] = nullptr;
+  if (id >= sinks_.size() || !sinks_[id].fn) return;
+  if (sinks_[id].reads == SinkReads::kText) --text_sinks_;
+  sinks_[id].fn = nullptr;
 }
 
 std::vector<LogRecord> Logger::filter(const std::string& event,

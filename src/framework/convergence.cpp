@@ -16,11 +16,13 @@ ConvergenceDetector::ConvergenceDetector(core::EventLoop& loop,
       "flow_mod",         "flow_mod_tx",   "collector_rx",
       "session_up",       "session_down",
   };
-  sink_id_ = logger_.add_sink([this](const core::LogRecord& rec) {
-    if (events_.count(rec.event) == 0) return;
-    last_activity_ = rec.when;
-    ++activity_count_;
-  });
+  sink_id_ = logger_.add_sink(
+      [this](const core::LogRecord& rec) {
+        if (events_.count(rec.event) == 0) return;
+        last_activity_ = rec.when;
+        ++activity_count_;
+      },
+      core::SinkReads::kTagsOnly);
   last_activity_ = loop_.now();
 }
 

@@ -81,7 +81,10 @@ struct ExperimentConfig {
   bgp::RibLayout rib_layout{bgp::RibLayout::kCompact};
   /// Whether to attach the monitoring route collector to legacy routers.
   bool with_collector{true};
-  /// Log level kept by the in-memory logger (kDebug needed for detectors).
+  /// Lowest level the logger passes on. The convergence detector counts
+  /// kDebug update_tx/update_rx records, so it needs kDebug. Records at this
+  /// level still cost no text unless something reads it: retention, echo or
+  /// a text sink.
   core::LogLevel log_level{core::LogLevel::kDebug};
   /// Retain log records in memory (off for long sweeps).
   bool retain_logs{false};

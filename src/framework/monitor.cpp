@@ -13,7 +13,7 @@ RouteChangeTracker::RouteChangeTracker(core::Logger& logger) : logger_{logger} {
     } else if (rec.event == "best_lost") {
       changes_.push_back({rec.when, rec.component, rec.detail, true});
     }
-  });
+  }, core::SinkReads::kText);
 }
 
 RouteChangeTracker::RouteChangeTracker(Experiment& experiment)
@@ -67,7 +67,7 @@ UpdateRateMonitor::UpdateRateMonitor(core::Logger& logger,
                                                    width_.count_nanos());
     ++buckets_[bucket];
     ++total_;
-  });
+  }, core::SinkReads::kTagsOnly);
 }
 
 UpdateRateMonitor::UpdateRateMonitor(Experiment& experiment,

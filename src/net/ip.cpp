@@ -1,7 +1,6 @@
 #include "net/ip.hpp"
 
 #include <charconv>
-#include <cstdio>
 
 namespace bgpsdn::net {
 
@@ -23,6 +22,30 @@ bool parse_octet(const char*& p, const char* end, std::uint32_t& out) {
   return true;
 }
 
+// Write `v` (at most 255) in decimal at `out`; returns one past the last
+// digit. Address formatting runs for every logged UPDATE and route change
+// that something reads, so it avoids snprintf's format parsing.
+char* put_decimal(char* out, std::uint32_t v) {
+  if (v >= 100) {
+    *out++ = static_cast<char>('0' + v / 100);
+    v %= 100;
+    *out++ = static_cast<char>('0' + v / 10);
+  } else if (v >= 10) {
+    *out++ = static_cast<char>('0' + v / 10);
+  }
+  *out++ = static_cast<char>('0' + v % 10);
+  return out;
+}
+
+// Dotted-quad form of `bits` at `out` (at most 15 chars); returns the end.
+char* put_dotted_quad(char* out, std::uint32_t bits) {
+  for (int shift = 24; shift > 0; shift -= 8) {
+    out = put_decimal(out, (bits >> shift) & 0xff);
+    *out++ = '.';
+  }
+  return put_decimal(out, bits & 0xff);
+}
+
 }  // namespace
 
 std::optional<Ipv4Addr> Ipv4Addr::parse(std::string_view s) {
@@ -41,10 +64,8 @@ std::optional<Ipv4Addr> Ipv4Addr::parse(std::string_view s) {
 }
 
 std::string Ipv4Addr::to_string() const {
-  char buf[16];
-  std::snprintf(buf, sizeof buf, "%u.%u.%u.%u", (bits_ >> 24) & 0xff,
-                (bits_ >> 16) & 0xff, (bits_ >> 8) & 0xff, bits_ & 0xff);
-  return buf;
+  char buf[15];  // "255.255.255.255"
+  return {buf, put_dotted_quad(buf, bits_)};
 }
 
 Prefix::Prefix(Ipv4Addr addr, std::uint8_t length)
@@ -91,7 +112,10 @@ Ipv4Addr Prefix::address_at(std::uint32_t n) const {
 }
 
 std::string Prefix::to_string() const {
-  return addr_.to_string() + "/" + std::to_string(len_);
+  char buf[18];  // "255.255.255.255/32"
+  char* end = put_dotted_quad(buf, addr_.bits());
+  *end++ = '/';
+  return {buf, put_decimal(end, len_)};
 }
 
 }  // namespace bgpsdn::net

@@ -100,7 +100,7 @@ void Network::send(core::NodeId from, core::PortId port, Packet packet) {
   if (packet.ttl == 0) {
     ++stats_.dropped_ttl;
     logger_.log(loop_.now(), core::LogLevel::kDebug, node(from).name(),
-                "ttl_expired", packet.to_string());
+                "ttl_expired", [&] { return packet.to_string(); });
     return;
   }
   if (link.params.loss > 0.0 && rng_.chance(link.params.loss)) {
@@ -167,7 +167,10 @@ void Network::set_link_up(core::LinkId id, bool up) {
   if (link.up == up) return;
   link.up = up;
   logger_.log(loop_.now(), core::LogLevel::kInfo, "net", up ? "link_up" : "link_down",
-              node(link.a.node).name() + " <-> " + node(link.b.node).name());
+              [&] {
+                return node(link.a.node).name() + " <-> " +
+                       node(link.b.node).name();
+              });
   nodes_[link.a.node.value()]->on_link_state(link.a.port, up);
   nodes_[link.b.node.value()]->on_link_state(link.b.port, up);
 }

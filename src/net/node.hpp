@@ -7,6 +7,7 @@
 
 #include <cassert>
 #include <string>
+#include <string_view>
 
 #include "core/ids.hpp"
 #include "net/packet.hpp"
@@ -77,6 +78,17 @@ class Node {
   /// fall back to a node-local counter. Never a process-wide static: two
   /// experiments in one process must mint identical id sequences.
   core::SessionId allocate_session_id();
+
+  /// `prefix` + name() as a log component, built into `cache` once the node
+  /// is attached (its name is final from then on) instead of per record.
+  const std::string& component_name(std::string& cache,
+                                     std::string_view prefix) const {
+    if (cache.empty() || !attached()) {
+      cache.assign(prefix);
+      cache += name_;
+    }
+    return cache;
+  }
 
   /// Convenience: transmit out of a local port.
   void send(core::PortId port, Packet packet) const;

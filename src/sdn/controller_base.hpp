@@ -76,11 +76,15 @@ class ControllerBase : public net::Node {
 
  private:
   void send_to(Dpid dpid, const OfMessage& message);
+  const std::string& log_name() const {
+    return component_name(log_name_, "ctrl.");
+  }
 
   std::map<Dpid, SwitchChannel> switches_;
   std::unordered_map<std::uint32_t, Dpid> dpid_by_port_;
   ControllerCounters counters_;
   bool crashed_{false};
+  mutable std::string log_name_;
 };
 
 }  // namespace bgpsdn::sdn

@@ -72,6 +72,9 @@ class SdnSwitch : public net::Node {
   void exit_standalone();
   void flush_data_rules(const char* why);
   void resend_port_states();
+  const std::string& log_name() const {
+    return component_name(log_name_, "sw.");
+  }
 
   core::AsNumber owner_as_;
   std::optional<core::PortId> controller_port_;
@@ -79,6 +82,7 @@ class SdnSwitch : public net::Node {
   SwitchCounters counters_;
   bool standalone_{false};
   std::uint32_t max_epoch_seen_{0};
+  mutable std::string log_name_;
 };
 
 }  // namespace bgpsdn::sdn

@@ -49,8 +49,9 @@ void ClusterBgpSpeaker::announce(PeeringId id, const net::Prefix& prefix,
   m.nlri.push_back(prefix);
   ++counters_.announces_tx;
   logger().log(loop().now(), core::LogLevel::kDebug, session_log_name(),
-               "speaker_announce",
-               "peering " + std::to_string(id) + " " + m.to_string());
+               "speaker_announce", [&] {
+                 return "peering " + std::to_string(id) + " " + m.to_string();
+               });
   if (auto* tel = telemetry()) {
     tel->metrics().counter("speaker.announces_tx").inc();
     if (tel->tracing()) {
@@ -73,8 +74,10 @@ void ClusterBgpSpeaker::withdraw(PeeringId id, const net::Prefix& prefix) {
   m.withdrawn.push_back(prefix);
   ++counters_.withdraws_tx;
   logger().log(loop().now(), core::LogLevel::kDebug, session_log_name(),
-               "speaker_withdraw",
-               "peering " + std::to_string(id) + " " + prefix.to_string());
+               "speaker_withdraw", [&] {
+                 return "peering " + std::to_string(id) + " " +
+                        prefix.to_string();
+               });
   if (auto* tel = telemetry()) {
     tel->metrics().counter("speaker.withdraws_tx").inc();
     if (tel->tracing()) {
@@ -100,8 +103,10 @@ void ClusterBgpSpeaker::crash() {
   crashed_ = true;
   ++counters_.crashes;
   logger().log(loop().now(), core::LogLevel::kWarn, session_log_name(), "crash",
-               "speaker process down, " + std::to_string(slots_.size()) +
-                   " sessions lost");
+               [&] {
+                 return "speaker process down, " +
+                        std::to_string(slots_.size()) + " sessions lost";
+               });
   if (auto* tel = telemetry()) tel->metrics().counter("speaker.crashes").inc();
   for (auto& slot : slots_) {
     // Process death sends nothing; external peers discover the outage when
@@ -207,9 +212,10 @@ void ClusterBgpSpeaker::session_transmit(bgp::Session& session,
 void ClusterBgpSpeaker::session_established(bgp::Session& session) {
   Slot* slot = slot_of(session);
   logger().log(loop().now(), core::LogLevel::kInfo, session_log_name(),
-               "session_up",
-               slot->info.cluster_as.to_string() + " <-> peer " +
-                   session.peer_as().to_string());
+               "session_up", [&] {
+                 return slot->info.cluster_as.to_string() + " <-> peer " +
+                        session.peer_as().to_string();
+               });
   if (listener_ != nullptr) listener_->on_peer_established(slot->info);
 }
 
@@ -219,9 +225,10 @@ void ClusterBgpSpeaker::session_down(bgp::Session& session,
   slot->rib_out.clear();
   slot->rib_in.clear();
   logger().log(loop().now(), core::LogLevel::kInfo, session_log_name(),
-               "session_down",
-               slot->info.cluster_as.to_string() + " <-> peer " +
-                   session.peer_as().to_string() + ": " + reason);
+               "session_down", [&] {
+                 return slot->info.cluster_as.to_string() + " <-> peer " +
+                        session.peer_as().to_string() + ": " + reason;
+               });
   if (listener_ != nullptr) listener_->on_peer_down(slot->info, reason);
 }
 
@@ -236,17 +243,18 @@ void ClusterBgpSpeaker::session_update(bgp::Session& session,
   }
   if (auto* tel = telemetry()) tel->metrics().counter("speaker.updates_rx").inc();
   logger().log(loop().now(), core::LogLevel::kDebug, session_log_name(),
-               "speaker_rx",
-               "peering " + std::to_string(slot->info.id) + " " +
-                   update.to_string());
+               "speaker_rx", [&] {
+                 return "peering " + std::to_string(slot->info.id) + " " +
+                        update.to_string();
+               });
   if (listener_ != nullptr) listener_->on_route_update(slot->info, update);
 }
 
 core::EventLoop& ClusterBgpSpeaker::session_loop() { return loop(); }
 core::Rng& ClusterBgpSpeaker::session_rng() { return rng(); }
 core::Logger& ClusterBgpSpeaker::session_logger() { return logger(); }
-std::string ClusterBgpSpeaker::session_log_name() const {
-  return "speaker." + name();
+const std::string& ClusterBgpSpeaker::session_log_name() const {
+  return component_name(log_name_, "speaker.");
 }
 
 }  // namespace bgpsdn::speaker

@@ -150,7 +150,7 @@ class ClusterBgpSpeaker : public net::Node, public bgp::SessionHost {
   core::EventLoop& session_loop() override;
   core::Rng& session_rng() override;
   core::Logger& session_logger() override;
-  std::string session_log_name() const override;
+  const std::string& session_log_name() const override;
   telemetry::Telemetry* session_telemetry() override { return telemetry(); }
 
  private:
@@ -180,6 +180,7 @@ class ClusterBgpSpeaker : public net::Node, public bgp::SessionHost {
   std::unordered_map<std::uint32_t, Slot*> by_port_;     // relay port -> slot
   std::unordered_map<std::uint32_t, Slot*> by_session_;  // session id -> slot
   SpeakerCounters counters_;
+  mutable std::string log_name_;
 };
 
 }  // namespace bgpsdn::speaker

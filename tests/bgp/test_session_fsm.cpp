@@ -40,7 +40,7 @@ class Harness : public SessionHost {
   core::EventLoop& session_loop() override { return loop_; }
   core::Rng& session_rng() override { return rng_; }
   core::Logger& session_logger() override { return log_; }
-  std::string session_log_name() const override { return name_; }
+  const std::string& session_log_name() const override { return name_; }
 
   std::unique_ptr<Session> session;
   int established_count{0};

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/logger.hpp"
 #include "core/random.hpp"
@@ -124,7 +126,7 @@ TEST(Logger, SinksFireEvenWithoutRetention) {
   Logger log;
   log.set_retain(false);
   int count = 0;
-  log.add_sink([&](const LogRecord&) { ++count; });
+  log.add_sink([&](const LogRecord&) { ++count; }, SinkReads::kText);
   log.log(TimePoint::origin(), LogLevel::kInfo, "a", "ev");
   EXPECT_EQ(count, 1);
   EXPECT_TRUE(log.records().empty());
@@ -133,7 +135,8 @@ TEST(Logger, SinksFireEvenWithoutRetention) {
 TEST(Logger, RemoveSinkStopsDelivery) {
   Logger log;
   int count = 0;
-  const auto id = log.add_sink([&](const LogRecord&) { ++count; });
+  const auto id =
+      log.add_sink([&](const LogRecord&) { ++count; }, SinkReads::kText);
   log.log(TimePoint::origin(), LogLevel::kInfo, "a", "ev");
   log.remove_sink(id);
   log.log(TimePoint::origin(), LogLevel::kInfo, "a", "ev");
@@ -166,6 +169,124 @@ TEST(LogRecord, ToStringFormat) {
   EXPECT_EQ(rec.to_string(), "0.000000s [INFO] comp ev: detail");
   LogRecord bare{TimePoint::origin(), LogLevel::kError, "c", "e", ""};
   EXPECT_EQ(bare.to_string(), "0.000000s [ERROR] c e");
+}
+
+// --- text on demand ---------------------------------------------------------
+
+/// Logs `n` records whose detail is a callable that counts its runs.
+int log_counting_renders(Logger& log, int n,
+                         LogLevel level = LogLevel::kInfo) {
+  int renders = 0;
+  for (int i = 0; i < n; ++i) {
+    log.log(TimePoint::from_nanos(i), level, "bgp.AS1", "update_tx", [&] {
+      ++renders;
+      return std::string{"to AS2"};
+    });
+  }
+  return renders;
+}
+
+TEST(Logger, TagsOnlySinksNeverRenderDetail) {
+  Logger log;
+  log.set_retain(false);
+  std::vector<LogRecord> seen;
+  log.add_sink([&](const LogRecord& rec) { seen.push_back(rec); },
+               SinkReads::kTagsOnly);
+  log.add_sink([](const LogRecord&) {}, SinkReads::kTagsOnly);
+  EXPECT_EQ(log_counting_renders(log, 5), 0);
+  ASSERT_EQ(seen.size(), 5u);
+  EXPECT_EQ(seen[3].event, "update_tx");
+  EXPECT_EQ(seen[3].component, "bgp.AS1");
+  EXPECT_EQ(seen[3].when, TimePoint::from_nanos(3));
+  EXPECT_TRUE(seen[3].detail.empty());
+}
+
+TEST(Logger, DetailRendersOncePerRecordForAnyTextConsumer) {
+  {
+    Logger log;  // retention only
+    log.add_sink([](const LogRecord&) {}, SinkReads::kTagsOnly);
+    EXPECT_EQ(log_counting_renders(log, 4), 4);
+    ASSERT_EQ(log.records().size(), 4u);
+    EXPECT_EQ(log.records()[0].detail, "to AS2");
+  }
+  {
+    Logger log;  // echo only
+    log.set_retain(false);
+    std::ostringstream os;
+    log.set_echo(&os);
+    EXPECT_EQ(log_counting_renders(log, 4), 4);
+    EXPECT_NE(os.str().find("update_tx: to AS2"), std::string::npos);
+  }
+  {
+    Logger log;  // one text sink
+    log.set_retain(false);
+    std::string last;
+    log.add_sink([&](const LogRecord& rec) { last = rec.detail; },
+                 SinkReads::kText);
+    EXPECT_EQ(log_counting_renders(log, 4), 4);
+    EXPECT_EQ(last, "to AS2");
+  }
+  {
+    Logger log;  // all of them at once still render once per record
+    std::ostringstream os;
+    log.set_echo(&os);
+    log.add_sink([](const LogRecord&) {}, SinkReads::kText);
+    log.add_sink([](const LogRecord&) {}, SinkReads::kText);
+    log.add_sink([](const LogRecord&) {}, SinkReads::kTagsOnly);
+    EXPECT_EQ(log_counting_renders(log, 4), 4);
+  }
+}
+
+TEST(Logger, TagsOnlySinkSeesEmptyDetailWhenTextIsBuilt) {
+  Logger log;
+  std::vector<std::string> tags_only_details;
+  std::vector<std::string> text_details;
+  log.add_sink([&](const LogRecord& r) { text_details.push_back(r.detail); },
+               SinkReads::kText);
+  log.add_sink(
+      [&](const LogRecord& r) { tags_only_details.push_back(r.detail); },
+      SinkReads::kTagsOnly);
+  log.add_sink([&](const LogRecord& r) { text_details.push_back(r.detail); },
+               SinkReads::kText);
+  EXPECT_EQ(log_counting_renders(log, 2), 2);
+  EXPECT_EQ(tags_only_details, (std::vector<std::string>{"", ""}));
+  EXPECT_EQ(text_details,
+            (std::vector<std::string>{"to AS2", "to AS2", "to AS2", "to AS2"}));
+  ASSERT_EQ(log.records().size(), 2u);
+  EXPECT_EQ(log.records()[1].detail, "to AS2");
+}
+
+TEST(Logger, RemovingLastTextSinkStopsRendering) {
+  Logger log;
+  log.set_retain(false);
+  int tag_records = 0;
+  log.add_sink([&](const LogRecord&) { ++tag_records; }, SinkReads::kTagsOnly);
+  const auto first = log.add_sink([](const LogRecord&) {}, SinkReads::kText);
+  const auto second = log.add_sink([](const LogRecord&) {}, SinkReads::kText);
+  EXPECT_EQ(log_counting_renders(log, 3), 3);
+  log.remove_sink(first);
+  EXPECT_EQ(log_counting_renders(log, 3), 3);
+  log.remove_sink(second);
+  EXPECT_EQ(log_counting_renders(log, 3), 0);
+  log.remove_sink(second);  // removing twice changes nothing
+  EXPECT_EQ(log_counting_renders(log, 3), 0);
+  EXPECT_EQ(tag_records, 12);
+}
+
+TEST(Logger, MinLevelDropsBeforeAnySinkOrRender) {
+  Logger log;
+  log.set_min_level(LogLevel::kWarn);
+  std::ostringstream os;
+  log.set_echo(&os);
+  int fired = 0;
+  log.add_sink([&](const LogRecord&) { ++fired; }, SinkReads::kText);
+  log.add_sink([&](const LogRecord&) { ++fired; }, SinkReads::kTagsOnly);
+  EXPECT_EQ(log_counting_renders(log, 3, LogLevel::kDebug), 0);
+  EXPECT_EQ(fired, 0);
+  EXPECT_TRUE(log.records().empty());
+  EXPECT_TRUE(os.str().empty());
+  EXPECT_EQ(log_counting_renders(log, 1, LogLevel::kError), 1);
+  EXPECT_EQ(fired, 2);
 }
 
 }  // namespace

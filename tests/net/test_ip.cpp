@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <string>
+
 #include "net/ip.hpp"
 
 namespace bgpsdn::net {
@@ -118,6 +122,54 @@ TEST(Prefix, OrderingAndHash) {
   const auto b = *Prefix::parse("10.0.0.0/16");
   EXPECT_NE(a, b);
   EXPECT_NE(std::hash<Prefix>{}(a), std::hash<Prefix>{}(b));
+}
+
+// The hand-rolled decimal formatting against an snprintf oracle: every
+// octet position takes each one-, two- and three-digit boundary value.
+constexpr std::uint32_t kBoundaryOctets[] = {0, 9, 10, 99, 100, 255};
+
+template <typename Visit>
+void for_each_boundary_address(Visit visit) {
+  for (const auto a : kBoundaryOctets) {
+    for (const auto b : kBoundaryOctets) {
+      for (const auto c : kBoundaryOctets) {
+        for (const auto d : kBoundaryOctets) {
+          visit((a << 24) | (b << 16) | (c << 8) | d);
+        }
+      }
+    }
+  }
+}
+
+std::string snprintf_dotted_quad(std::uint32_t bits) {
+  char buf[16];
+  std::snprintf(buf, sizeof buf, "%u.%u.%u.%u", (bits >> 24) & 0xff,
+                (bits >> 16) & 0xff, (bits >> 8) & 0xff, bits & 0xff);
+  return buf;
+}
+
+TEST(AddressFormat, Ipv4MatchesSnprintf) {
+  int checked = 0;
+  for_each_boundary_address([&](std::uint32_t bits) {
+    ASSERT_EQ(Ipv4Addr{bits}.to_string(), snprintf_dotted_quad(bits)) << bits;
+    ++checked;
+  });
+  EXPECT_EQ(checked, 6 * 6 * 6 * 6);
+}
+
+TEST(AddressFormat, PrefixMatchesSnprintf) {
+  int checked = 0;
+  for_each_boundary_address([&](std::uint32_t bits) {
+    for (unsigned len = 0; len <= 32; ++len) {
+      const Prefix p{Ipv4Addr{bits}, static_cast<std::uint8_t>(len)};
+      char buf[24];
+      std::snprintf(buf, sizeof buf, "%s/%u",
+                    snprintf_dotted_quad(p.network().bits()).c_str(), len);
+      ASSERT_EQ(p.to_string(), std::string{buf}) << bits << "/" << len;
+      ++checked;
+    }
+  });
+  EXPECT_EQ(checked, 6 * 6 * 6 * 6 * 33);
 }
 
 }  // namespace

@@ -296,14 +296,14 @@ else
   echo "WARNING: python3 not found; skipping determinism diff" >&2
 fi
 
-# Scale job: the RIB-compaction sweep (capped at 1k ASes under BGPSDN_QUICK)
-# must emit byte-identical JSON across job counts, match the bench_scale
-# schema — including the mem.* block and the compact-vs-reference RIB
-# memory-ratio gate baked into the validator — and hold its convergence
-# medians against the committed full-sweep baseline. Medians are virtual
-# time (deterministic per seed), so the tolerance is near-zero; the quick
-# sweep skips the 10k cells, hence --allow-missing. Refresh after an
-# intentional change with:
+# Scale job: the internet-scale RIB sweep (capped at 1k ASes under
+# BGPSDN_QUICK) must emit byte-identical JSON across job counts, match the
+# bench_scale schema — including the mem.* block and the exact RIB
+# model-byte budget per mem_size baked into the validator — and hold its
+# convergence medians (virtual seconds) against the committed full-sweep
+# baseline. Medians are deterministic per seed, so the tolerance is
+# near-zero; the quick sweep skips the 10k cells, hence --allow-missing.
+# Refresh after an intentional change with:
 #   ./build/bench/bench_scale --json BENCH_baseline_scale.json
 echo "===== bench_scale (jobs=1 vs 4, schema, perf gate)"
 if command -v python3 > /dev/null 2>&1; then
@@ -324,6 +324,42 @@ if docs[0] != docs[1]:
 print("bench_scale: byte-identical across jobs counts (footer excluded)")
 EOF
   python3 scripts/validate_bench_json.py build/json/scale_j1.json
+  # Self-tests for the budget gate, like the lint ones: one byte over the
+  # committed rib_total budget must fail with the budget message, and a
+  # mem_size without a committed budget must fail rather than be skipped.
+  python3 - <<'EOF'
+import json
+with open("build/json/scale_j1.json") as f:
+    doc = json.load(f)
+mem_size = doc["params"]["mem_size"]
+over = json.loads(json.dumps(doc))
+for point in over["points"]:
+    if point["label"] == f"il{mem_size}_withdrawal":
+        point["extra"]["mem"]["rib_total"] += 1
+with open("build/json/scale_over_budget.json", "w") as f:
+    json.dump(over, f)
+unbudgeted = json.loads(json.dumps(doc))
+unbudgeted["params"]["il_sizes"][-1] = unbudgeted["params"]["mem_size"] = 999
+for point in unbudgeted["points"]:
+    point["label"] = point["label"].replace(f"il{mem_size}_", "il999_")
+with open("build/json/scale_no_budget.json", "w") as f:
+    json.dump(unbudgeted, f)
+EOF
+  for probe in "over_budget:exceeds the committed budget" \
+               "no_budget:no committed rib_total budget"; do
+    if python3 scripts/validate_bench_json.py \
+        "build/json/scale_${probe%%:*}.json" \
+        2> build/json/scale_probe.err; then
+      echo "bench_scale self-test FAILED: scale_${probe%%:*} passed" >&2
+      exit 1
+    fi
+    if ! grep -q "${probe#*:}" build/json/scale_probe.err; then
+      echo "bench_scale self-test FAILED: scale_${probe%%:*} failed for" \
+        "the wrong reason: $(cat build/json/scale_probe.err)" >&2
+      exit 1
+    fi
+  done
+  echo "bench_scale: budget self-tests ok (over budget, unbudgeted mem_size)"
   python3 scripts/compare_bench.py build/json/scale_j1.json \
     --baseline BENCH_baseline_scale.json --tolerance 0.01 --allow-missing
 else

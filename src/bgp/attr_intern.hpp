@@ -15,8 +15,7 @@
 //    weak reference, no sweep, and no state that outlives the simulation.
 //  - Two kinds of reference share one count: AttrSetRef handles (Routes,
 //    RIB scratch, controller tables) and 4-byte registry indices, which the
-//    compact RIB layouts store instead of a handle per entry
-//    (acquire/retain/release).
+//    RIBs store instead of a handle per entry (acquire/retain/release).
 //  - Mutation is copy-on-write by construction: to change attributes, copy
 //    the bundle out (`PathAttributes a = *ref`), edit, re-intern.
 //  - The export cache memoizes a router's export transform per (input
@@ -197,9 +196,8 @@ class AttrRegistry {
   /// Deterministic bytes (core/mem_stats.hpp model) of the live bundles,
   /// the value index and the export cache: reported as mem.attr_pool.
   std::uint64_t pool_bytes() const;
-  /// Deterministic bytes of the id table behind the compact RIBs' 4-byte
-  /// indices: reported as mem.attr_registry (zero when no RIB stores
-  /// indices, as under the reference layout).
+  /// Deterministic bytes of the id table behind the RIBs' 4-byte indices:
+  /// reported as mem.attr_registry (zero while no RIB stores an index).
   std::uint64_t index_bytes() const;
 
  private:

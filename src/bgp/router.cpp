@@ -47,9 +47,9 @@ void add_to_group(
 BgpRouter::BgpRouter(RouterConfig config)
     : config_{std::move(config)},
       store_{store_or_private(config_.attr_registry)},
-      adj_rib_in_{config_.rib_layout, store_},
-      loc_rib_{config_.rib_layout, store_},
-      rib_out_store_{config_.rib_layout, store_},
+      adj_rib_in_{store_},
+      loc_rib_{store_},
+      rib_out_store_{store_},
       dampener_{config_.damping} {
   PathAttributes local;
   local.origin = Origin::kIgp;
@@ -333,8 +333,8 @@ void BgpRouter::recompute(const net::Prefix& prefix) {
   // Incremental best-path selection over an allocation-free visitation of
   // the Adj-RIB-In candidates (visited in session-ascending order, so ties
   // resolve exactly as the old select_best-over-vector did). The running
-  // winner is copied out: the compact layout materializes each candidate
-  // into scratch storage that the next visit reuses.
+  // winner is copied out: the Adj-RIB-In materializes each candidate into
+  // scratch storage that the next visit reuses.
   Route best;
   bool have_best = false;
   std::size_t candidate_count = 0;

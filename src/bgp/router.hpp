@@ -41,9 +41,6 @@ struct RouterConfig {
   bool split_horizon{false};
   /// Route-flap damping (RFC 2439); disabled by default like Quagga.
   DampingConfig damping{};
-  /// RIB storage layout (kReference keeps the node-based containers for
-  /// equivalence testing; behaviour is byte-identical either way).
-  RibLayout rib_layout{RibLayout::kCompact};
   /// Attribute store shared across the simulation (the Experiment wires one
   /// instance through every router, the speaker and the controller). Null
   /// gives the router a private store, which standalone-router tests use.

@@ -12,8 +12,8 @@
 // rounded up to 16 bytes plus a 16-byte allocator header; a red-black tree
 // node carries 32 bytes of tree overhead, a hash node 16 bytes (next pointer
 // + cached hash), and a hash table one 8-byte bucket pointer per element.
-// These match libstdc++ on a 64-bit glibc closely enough to compare layouts
-// honestly while staying exactly reproducible.
+// These match libstdc++ on a 64-bit glibc closely enough to compare
+// container choices honestly while staying exactly reproducible.
 #pragma once
 
 #include <cstddef>
@@ -53,11 +53,9 @@ struct MemStats {
   /// The simulation's attribute store: live bundles, their value index and
   /// the export cache.
   std::uint64_t attr_pool{0};
-  /// The store's id table behind the compact layouts' 4-byte attribute
-  /// indices. Scales with distinct bundles like attr_pool, not with
-  /// (prefix x peer) entries like the RIB categories, so it is reported on
-  /// its own axis. Zero under the reference layout, whose inline handles
-  /// are charged to the RIB categories instead.
+  /// The store's id table behind the RIBs' 4-byte attribute indices.
+  /// Scales with distinct bundles like attr_pool, not with (prefix x peer)
+  /// entries like the RIB categories, so it is reported on its own axis.
   std::uint64_t attr_registry{0};
   std::uint64_t flow_tables{0};   ///< SDN flow tables + lookup index.
   std::uint64_t speaker_ribs{0};  ///< Cluster speaker per-peering relay RIBs.

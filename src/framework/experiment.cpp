@@ -61,7 +61,6 @@ void Experiment::build() {
       rc.timers = config_.timers;
       rc.processing = config_.processing;
       rc.damping = config_.damping;
-      rc.rib_layout = config_.rib_layout;
       rc.attr_registry = attr_registry_;
       auto& r = net_.add<bgp::BgpRouter>(as.to_string(), rc);
       routers_[as] = &r;
@@ -84,7 +83,7 @@ void Experiment::build() {
       controller_ = routeflow_;
     }
     speaker_ = &net_.add<speaker::ClusterBgpSpeaker>(
-        "speaker", config_.timers, config_.rib_layout, attr_registry_);
+        "speaker", config_.timers, attr_registry_);
     controller_->bind_speaker(*speaker_);
 
     // Control links and switch-graph registration.

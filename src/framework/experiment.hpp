@@ -75,10 +75,6 @@ struct ExperimentConfig {
   /// HA channel/election timers (replicas and seed fields are overridden
   /// from controller_replicas and the experiment seed).
   controller::ReplicaSetConfig ha{};
-  /// RIB storage layout for every BGP router and the cluster speaker
-  /// (kReference keeps the node-based containers for the equivalence suite
-  /// and the bench_scale memory comparison; behaviour is byte-identical).
-  bgp::RibLayout rib_layout{bgp::RibLayout::kCompact};
   /// Whether to attach the monitoring route collector to legacy routers.
   bool with_collector{true};
   /// Lowest level the logger passes on. The convergence detector counts

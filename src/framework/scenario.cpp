@@ -160,16 +160,6 @@ void ScenarioRunner::execute(const Line& line, ScenarioResult& result) {
     } else {
       fail(line, "unknown spt engine '" + t[1] + "' (incremental|reference)");
     }
-  } else if (cmd == "rib") {
-    need(1);
-    forbid_after_start();
-    if (t[1] == "compact") {
-      config_.rib_layout = bgp::RibLayout::kCompact;
-    } else if (t[1] == "reference") {
-      config_.rib_layout = bgp::RibLayout::kReference;
-    } else {
-      fail(line, "unknown rib layout '" + t[1] + "' (compact|reference)");
-    }
   } else if (cmd == "damping") {
     need(1);
     forbid_after_start();

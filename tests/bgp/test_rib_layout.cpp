@@ -1,7 +1,7 @@
-// Compact-vs-reference RIB layout equivalence at the unit level, plus the
-// supporting structures the compact layout is built from: the open-addressing
+// The slab-backed RIBs fuzzed against their std::map twins in rib_oracle.hpp,
+// plus the supporting structures the RIBs are built from: the open-addressing
 // PrefixTable (fuzzed against std::map), the refcounted AttrRegistry, and the
-// Adj-RIB-In slab defragmenter. The framework-level byte-diff suite lives in
+// Adj-RIB-In slab defragmenter. The framework-level golden suite lives in
 // tests/framework/test_rib_layout_equivalence.cpp; these tests pin the data
 // structures in isolation so a divergence there points at the exact class.
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include "bgp/message.hpp"
 #include "bgp/rib.hpp"
 #include "bgp/wire.hpp"
+#include "rib_oracle.hpp"
 
 namespace bgpsdn::bgp {
 namespace {
@@ -176,39 +177,39 @@ TEST(AttrRegistry, BytesDependOnlyOnSequence) {
   EXPECT_GT(a.index_bytes(), 0u);
 }
 
-// --- Adj-RIB-In equivalence ----------------------------------------------
+// --- Adj-RIB-In vs oracle ------------------------------------------------
 
 class RibInPair {
  public:
   bool put(const Route& route) {
     const bool compact = compact_.put(route);
-    const bool reference = reference_.put(route);
-    EXPECT_EQ(compact, reference);
+    const bool model = oracle_.put(route);
+    EXPECT_EQ(compact, model);
     return compact;
   }
   void erase(std::uint32_t prefix, std::uint32_t session) {
     EXPECT_EQ(compact_.erase(prefix_of(prefix), core::SessionId{session}),
-              reference_.erase(prefix_of(prefix), core::SessionId{session}));
+              oracle_.erase(prefix_of(prefix), core::SessionId{session}));
   }
   void erase_session(std::uint32_t session) {
     const auto compact = compact_.erase_session(core::SessionId{session});
-    const auto reference = reference_.erase_session(core::SessionId{session});
-    EXPECT_EQ(compact, reference);
+    const auto model = oracle_.erase_session(core::SessionId{session});
+    EXPECT_EQ(compact, model);
   }
   void expect_equal() const {
-    EXPECT_EQ(compact_.route_count(), reference_.route_count());
-    const auto prefixes = reference_.prefixes();
+    EXPECT_EQ(compact_.route_count(), oracle_.route_count());
+    const auto prefixes = oracle_.prefixes();
     EXPECT_EQ(compact_.prefixes(), prefixes);
     for (const auto& prefix : prefixes) {
-      // candidates() pointers are scratch in the compact layout: stringify
-      // the compact view before touching the reference RIB.
+      // candidates() pointers are scratch storage: stringify the compact
+      // view before the next call into the compact RIB.
       std::vector<std::string> compact_view;
       compact_.for_each_candidate(
           prefix, [&](const Route& r) { compact_view.push_back(route_key(r)); });
-      const auto ref_cands = reference_.candidates(prefix);
-      ASSERT_EQ(compact_view.size(), ref_cands.size()) << prefix.to_string();
-      for (std::size_t i = 0; i < ref_cands.size(); ++i) {
-        EXPECT_EQ(compact_view[i], route_key(*ref_cands[i]))
+      const auto model_cands = oracle_.candidates(prefix);
+      ASSERT_EQ(compact_view.size(), model_cands.size()) << prefix.to_string();
+      for (std::size_t i = 0; i < model_cands.size(); ++i) {
+        EXPECT_EQ(compact_view[i], route_key(*model_cands[i]))
             << prefix.to_string() << " #" << i;
       }
     }
@@ -216,8 +217,8 @@ class RibInPair {
   const AdjRibIn& compact() const { return compact_; }
 
  private:
-  AdjRibIn compact_{RibLayout::kCompact};
-  AdjRibIn reference_{RibLayout::kReference};
+  AdjRibIn compact_;
+  oracle::AdjRibIn oracle_;
 };
 
 TEST(RibLayoutEquivalence, AdjRibInFuzz) {
@@ -228,11 +229,13 @@ TEST(RibLayoutEquivalence, AdjRibInFuzz) {
     const auto session = static_cast<std::uint32_t>(1 + rng() % 12);
     const auto action = rng() % 100;
     if (action < 60) {
-      // Three path variants per (prefix, session) so puts are a mix of
-      // inserts, attribute replacements and no-op re-puts.
+      // Three path variants and two install times per (prefix, session) so
+      // puts are a mix of inserts, attribute replacements, installed-at
+      // refreshes and no-op re-puts.
       const auto variant = static_cast<std::uint32_t>(rng() % 3);
+      const auto at = static_cast<std::int64_t>(1000 + rng() % 2);
       pair.put(make_route(prefix, session, {session, variant + 1, prefix + 1},
-                          static_cast<std::int64_t>(1000 + op)));
+                          at));
     } else if (action < 90) {
       pair.erase(prefix, session);
     } else {
@@ -244,15 +247,15 @@ TEST(RibLayoutEquivalence, AdjRibInFuzz) {
 }
 
 TEST(RibLayoutEquivalence, AdjRibInFindMatchesAcrossLayouts) {
-  AdjRibIn compact{RibLayout::kCompact};
-  AdjRibIn reference{RibLayout::kReference};
+  AdjRibIn compact;
+  oracle::AdjRibIn model;
   const auto route = make_route(3, 5, {5, 9});
   compact.put(route);
-  reference.put(route);
+  model.put(route);
   const auto* c = compact.find(prefix_of(3), core::SessionId{5});
   ASSERT_NE(c, nullptr);
   const std::string compact_view = route_key(*c);  // scratch: copy first
-  const auto* r = reference.find(prefix_of(3), core::SessionId{5});
+  const auto* r = model.find(prefix_of(3), core::SessionId{5});
   ASSERT_NE(r, nullptr);
   EXPECT_EQ(compact_view, route_key(*r));
   EXPECT_EQ(compact.find(prefix_of(3), core::SessionId{6}), nullptr);
@@ -262,8 +265,8 @@ TEST(RibLayoutEquivalence, AdjRibInFindMatchesAcrossLayouts) {
 TEST(AdjRibInDefrag, SlabChurnPreservesContents) {
   // Grow every prefix's span through 1->2->4->8->16 candidates, then strip
   // back down: the doubling churn strands freed spans of every size, pushing
-  // the freelist past the defrag trigger. Contents must match the reference
-  // mirror throughout, and the footprint must come back down.
+  // the freelist past the defrag trigger. Contents must match the oracle
+  // throughout, and the footprint must come back down.
   RibInPair pair;
   for (std::uint32_t prefix = 0; prefix < 48; ++prefix) {
     for (std::uint32_t session = 1; session <= 16; ++session) {
@@ -291,11 +294,11 @@ TEST(AdjRibInDefrag, SlabChurnPreservesContents) {
   pair.expect_equal();
 }
 
-// --- Loc-RIB equivalence -------------------------------------------------
+// --- Loc-RIB vs oracle ---------------------------------------------------
 
 TEST(RibLayoutEquivalence, LocRibFuzz) {
-  LocRib compact{RibLayout::kCompact};
-  LocRib reference{RibLayout::kReference};
+  LocRib compact;
+  oracle::LocRib model;
   std::mt19937_64 rng{77};
   for (std::uint32_t op = 0; op < 20'000; ++op) {
     const auto prefix = static_cast<std::uint32_t>(rng() % 64);
@@ -304,49 +307,49 @@ TEST(RibLayoutEquivalence, LocRibFuzz) {
       const auto variant = static_cast<std::uint32_t>(rng() % 3);
       const auto route = make_route(prefix, session, {session, variant + 1},
                                     static_cast<std::int64_t>(op));
-      EXPECT_EQ(compact.install(route), reference.install(route)) << op;
+      EXPECT_EQ(compact.install(route), model.install(route)) << op;
     } else {
       EXPECT_EQ(compact.remove(prefix_of(prefix)),
-                reference.remove(prefix_of(prefix)))
+                model.remove(prefix_of(prefix)))
           << op;
     }
-    EXPECT_EQ(compact.size(), reference.size());
-    EXPECT_EQ(compact.generation(), reference.generation());
+    EXPECT_EQ(compact.size(), model.size());
+    EXPECT_EQ(compact.generation(), model.generation());
   }
-  EXPECT_EQ(compact.prefixes(), reference.prefixes());
-  for (const auto& prefix : reference.prefixes()) {
+  EXPECT_EQ(compact.prefixes(), model.prefixes());
+  for (const auto& prefix : model.prefixes()) {
     const auto* c = compact.find(prefix);
     ASSERT_NE(c, nullptr);
     const std::string compact_view = route_key(*c);  // scratch: copy first
-    EXPECT_EQ(compact_view, route_key(*reference.find(prefix)));
+    EXPECT_EQ(compact_view, route_key(*model.find(prefix)));
   }
 }
 
 TEST(RibLayoutEquivalence, LocRibLocalRoutes) {
-  // Locally-originated routes carry SessionId::invalid(); both layouts must
-  // round-trip them (the compact layout parks them on a shared side entry).
-  LocRib compact{RibLayout::kCompact};
-  LocRib reference{RibLayout::kReference};
+  // Locally-originated routes carry SessionId::invalid(); the RIB must
+  // round-trip them (it parks them on a shared side entry).
+  LocRib compact;
+  oracle::LocRib model;
   Route local = make_route(1, 0, {42});
   local.learned_from = core::SessionId::invalid();
   local.peer_bgp_id = net::Ipv4Addr{};
   local.peer_address = net::Ipv4Addr{};
-  EXPECT_EQ(compact.install(local), reference.install(local));
+  EXPECT_EQ(compact.install(local), model.install(local));
   const auto* c = compact.find(prefix_of(1));
   ASSERT_NE(c, nullptr);
   EXPECT_TRUE(c->is_local());
   const std::string compact_view = route_key(*c);
-  EXPECT_EQ(compact_view, route_key(*reference.find(prefix_of(1))));
+  EXPECT_EQ(compact_view, route_key(*model.find(prefix_of(1))));
 }
 
-// --- Adj-RIB-Out / RibOutStore equivalence -------------------------------
+// --- Adj-RIB-Out / RibOutStore vs oracle ---------------------------------
 
 TEST(RibLayoutEquivalence, RibOutStoreFuzz) {
-  RibOutStore compact{RibLayout::kCompact};
-  RibOutStore reference{RibLayout::kReference};
+  RibOutStore compact;
+  oracle::RibOutStore model;
   constexpr std::uint16_t kCols = 4;
   for (std::uint16_t c = 0; c < kCols; ++c) {
-    ASSERT_EQ(compact.add_column(), reference.add_column());
+    ASSERT_EQ(compact.add_column(), model.add_column());
   }
   std::mt19937_64 rng{99};
   for (std::uint32_t op = 0; op < 20'000; ++op) {
@@ -356,33 +359,33 @@ TEST(RibLayoutEquivalence, RibOutStoreFuzz) {
     if (action < 55) {
       const auto attrs = bundle(static_cast<std::uint32_t>(rng() % 8));
       EXPECT_EQ(compact.advertise(col, prefix, attrs),
-                reference.advertise(col, prefix, attrs))
+                model.advertise(col, prefix, attrs))
           << op;
     } else if (action < 85) {
-      EXPECT_EQ(compact.withdraw(col, prefix), reference.withdraw(col, prefix))
+      EXPECT_EQ(compact.withdraw(col, prefix), model.withdraw(col, prefix))
           << op;
     } else if (action < 95) {
       const auto* c = compact.advertised(col, prefix);
-      const auto* r = reference.advertised(col, prefix);
+      const auto* r = model.advertised(col, prefix);
       ASSERT_EQ(c != nullptr, r != nullptr) << op;
       if (c != nullptr) {
         EXPECT_EQ(*c, *r) << op;
       }
     } else {
       compact.clear(col);
-      reference.clear(col);
+      model.clear(col);
     }
-    EXPECT_EQ(compact.size(col), reference.size(col));
+    EXPECT_EQ(compact.size(col), model.size(col));
   }
   for (std::uint16_t c = 0; c < kCols; ++c) {
-    EXPECT_EQ(compact.prefixes(c), reference.prefixes(c));
+    EXPECT_EQ(compact.prefixes(c), model.prefixes(c));
   }
 }
 
 TEST(RibLayoutEquivalence, RibOutLateColumnWidening) {
   // Adding a peer after prefixes are advertised forces row widening; the
   // earlier columns' state must be untouched.
-  RibOutStore store{RibLayout::kCompact};
+  RibOutStore store;
   const auto c0 = store.add_column();
   const auto a = bundle(1);
   ASSERT_TRUE(store.advertise(c0, prefix_of(1), a));
@@ -402,8 +405,8 @@ TEST(RibLayoutEquivalence, SharedRegistryDrainsWithRibs) {
   // Two RIBs share one registry; when both drop their routes every handle
   // must come back (leaked refcounts would pin bundles for the whole run).
   auto registry = std::make_shared<AttrRegistry>();
-  AdjRibIn rib_in{RibLayout::kCompact, registry};
-  LocRib loc{RibLayout::kCompact, registry};
+  AdjRibIn rib_in{registry};
+  LocRib loc{registry};
   for (std::uint32_t prefix = 0; prefix < 32; ++prefix) {
     for (std::uint32_t session = 1; session <= 4; ++session) {
       rib_in.put(make_route(prefix, session, {session, prefix + 1}));

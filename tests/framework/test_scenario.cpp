@@ -93,6 +93,7 @@ TEST(Scenario, SyntaxErrorsAreReported) {
         << script << " -> " << result.error;
   };
   expect_error("frobnicate 1\n", "unknown command");
+  expect_error("rib compact\n", "unknown command");  // retired layout knob
   expect_error("topology moebius 4\n", "unknown topology model");
   expect_error("topology clique 4\nsdn 9\n", "AS9 not in topology");
   expect_error("announce 1 not-a-prefix\n", "bad prefix");

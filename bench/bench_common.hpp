@@ -48,56 +48,37 @@ inline BenchCli parse_cli(int argc, char** argv,
                           std::vector<char*>* passthrough = nullptr) {
   BenchCli cli;
   if (passthrough != nullptr) passthrough->push_back(argv[0]);
-  const auto value_arg = [&](int& i, const char* flag) -> const char* {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "%s: %s needs a value\n", argv[0], flag);
-      std::exit(2);
-    }
-    return argv[++i];
-  };
-  const auto number_arg = [&](int& i, const char* flag) -> long long {
-    const char* text = value_arg(i, flag);
-    try {
-      std::size_t used = 0;
-      const long long parsed = std::stoll(text, &used);
-      if (used != std::string{text}.size()) throw std::invalid_argument{text};
-      return parsed;
-    } catch (const std::exception&) {
-      std::fprintf(stderr, "%s: %s needs a number, got '%s'\n", argv[0], flag,
-                   text);
-      std::exit(2);
-    }
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json") {
-      cli.json_path = value_arg(i, "--json");
-    } else if (arg == "--trials") {
-      const long long v = number_arg(i, "--trials");
-      if (v < 1) {
-        std::fprintf(stderr, "%s: --trials must be >= 1\n", argv[0]);
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--json") {
+        if (i + 1 >= argc) throw std::invalid_argument{"--json needs a value"};
+        cli.json_path = argv[++i];
+      } else if (arg == "--trials") {
+        cli.trials = framework::parse_count_flag(i, argc, argv, "--trials", 1);
+      } else if (arg == "--seed") {
+        cli.seed = framework::parse_count_flag(i, argc, argv, "--seed");
+      } else if (arg == "--help" || arg == "-h") {
+        std::printf(
+            "usage: %s [--json <path>] [--trials N] [--seed S]\n\n"
+            "Runs the bench and prints boxplot rows to stdout. With --json "
+            "it\nadditionally writes a schema-stable bgpsdn.bench/1 JSON "
+            "document\n(everything but the wall-clock footer is deterministic "
+            "per seed).\n--trials and --seed override the bench's run count "
+            "and base seed\n(BGPSDN_QUICK=1 is the 3-run smoke default).\n",
+            argv[0]);
+        std::exit(0);
+      } else if (passthrough != nullptr) {
+        passthrough->push_back(argv[i]);
+      } else {
+        std::fprintf(stderr, "%s: unknown argument '%s' (try --help)\n",
+                     argv[0], arg.c_str());
         std::exit(2);
       }
-      cli.trials = static_cast<std::size_t>(v);
-    } else if (arg == "--seed") {
-      cli.seed = static_cast<std::uint64_t>(number_arg(i, "--seed"));
-    } else if (arg == "--help" || arg == "-h") {
-      std::printf(
-          "usage: %s [--json <path>] [--trials N] [--seed S]\n\n"
-          "Runs the bench and prints boxplot rows to stdout. With --json it\n"
-          "additionally writes a schema-stable bgpsdn.bench/1 JSON document\n"
-          "(everything but the wall-clock footer is deterministic per seed).\n"
-          "--trials and --seed override the bench's run count and base seed\n"
-          "(BGPSDN_QUICK=1 is the 3-run smoke default).\n",
-          argv[0]);
-      std::exit(0);
-    } else if (passthrough != nullptr) {
-      passthrough->push_back(argv[i]);
-    } else {
-      std::fprintf(stderr, "%s: unknown argument '%s' (try --help)\n", argv[0],
-                   arg.c_str());
-      std::exit(2);
     }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    std::exit(2);
   }
   return cli;
 }

@@ -189,6 +189,20 @@ echo "===== scenarios/smoke.matrix (bgpsdn_matrix, jobs=1 vs 4)"
 for m in scenarios/*.matrix; do
   ./build/tools/bgpsdn_matrix --list "$m" > /dev/null
 done
+# Seed flags use the knob table's count grammar: a negative --seed must be
+# rejected (exit 2) like `base-seed -1` in a .matrix file, never wrapped.
+if ./build/tools/bgpsdn_matrix --seed -1 --list scenarios/smoke.matrix \
+    > /dev/null 2> build/json/seed_probe.err; then
+  seed_rc=0
+else
+  seed_rc=$?
+fi
+if [ "$seed_rc" -ne 2 ] ||
+    ! grep -q "needs a non-negative integer" build/json/seed_probe.err; then
+  echo "bgpsdn_matrix --seed -1: want exit 2 and the count-grammar" \
+    "message, got exit $seed_rc: $(cat build/json/seed_probe.err)" >&2
+  exit 1
+fi
 BGPSDN_QUICK=1 BGPSDN_JOBS=1 ./build/tools/bgpsdn_matrix \
   --json build/json/matrix_j1.json scenarios/smoke.matrix > /dev/null
 BGPSDN_QUICK=1 BGPSDN_JOBS=4 ./build/tools/bgpsdn_matrix \

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "controller/route_compiler.hpp"
+#include "framework/experiment_spec.hpp"
 
 namespace bgpsdn::framework {
 
@@ -22,9 +23,7 @@ Experiment::Experiment(const topology::TopologySpec& spec,
       rng_{config.seed},
       net_{loop_, log_, rng_} {
   spec_.validate();
-  if (config_.controller_replicas == 0 || config_.controller_replicas > 16) {
-    throw std::invalid_argument{"controller_replicas must be in [1, 16]"};
-  }
+  knob("replicas").check(static_cast<double>(config_.controller_replicas));
   for (const auto as : members_) {
     if (!spec_.has_as(as)) {
       throw std::invalid_argument{"SDN member " + as.to_string() +

@@ -1,6 +1,7 @@
 #include "framework/experiment_spec.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 
@@ -13,6 +14,21 @@ namespace {
 
 [[noreturn]] void bad(const std::string& message) {
   throw std::invalid_argument{message};
+}
+
+std::string shown(double value) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.15g", value);
+  return buf;
+}
+
+/// The topology row's bound, plus the size internet-like scaling needs.
+void check_topology(TopologyModel model, std::size_t size) {
+  knob("topology").check(static_cast<double>(size));
+  if (model == TopologyModel::kInternetLike && size < 8) {
+    bad("internet-like topologies need >= 8 ASes, got " +
+        std::to_string(size));
+  }
 }
 
 }  // namespace
@@ -30,12 +46,10 @@ const char* to_string(TopologyModel model) {
 }
 
 std::optional<TopologyModel> parse_topology_model(std::string_view name) {
-  if (name == "clique") return TopologyModel::kClique;
-  if (name == "line") return TopologyModel::kLine;
-  if (name == "ring") return TopologyModel::kRing;
-  if (name == "star") return TopologyModel::kStar;
-  if (name == "synth-caida") return TopologyModel::kSynthCaida;
-  if (name == "internet-like") return TopologyModel::kInternetLike;
+  for (int i = 0; i <= static_cast<int>(TopologyModel::kInternetLike); ++i) {
+    const auto model = static_cast<TopologyModel>(i);
+    if (name == to_string(model)) return model;
+  }
   return std::nullopt;
 }
 
@@ -72,10 +86,7 @@ core::AsNumber ExperimentSpec::failover_mid() { return core::AsNumber{101}; }
 
 void ExperimentSpec::resolve() {
   if (sdn_fraction) {
-    if (*sdn_fraction < 0.0 || *sdn_fraction > 1.0) {
-      bad("sdn fraction must be in [0, 1], got " +
-          std::to_string(*sdn_fraction));
-    }
+    knob("sdn-frac").check(*sdn_fraction);
     sdn_count = static_cast<std::size_t>(
         *sdn_fraction * static_cast<double>(topology_size) + 0.5);
     sdn_fraction.reset();
@@ -83,18 +94,12 @@ void ExperimentSpec::resolve() {
 }
 
 void ExperimentSpec::validate() const {
-  if (topology_size < 2) {
-    bad("topology size must be >= 2, got " + std::to_string(topology_size));
-  }
+  check_topology(topology, topology_size);
   if (sdn_fraction) {
     bad("sdn_fraction is unresolved; call resolve() before validate()");
   }
   if (sdn_count > topology_size) {
     bad("sdn count " + std::to_string(sdn_count) + " exceeds topology size " +
-        std::to_string(topology_size));
-  }
-  if (topology == TopologyModel::kInternetLike && topology_size < 8) {
-    bad("internet-like topologies need >= 8 ASes, got " +
         std::to_string(topology_size));
   }
   if (event == EventKind::kFailover &&
@@ -108,13 +113,10 @@ void ExperimentSpec::validate() const {
       bad("flap-train needs at least 2 SDN members (the flapped link joins "
           "the two lowest-numbered members)");
     }
-    if (flap_cycles < 1) bad("flap-train needs at least 1 cycle");
+    knob("flaps").check(static_cast<double>(flap_cycles));
   }
   if (trials < 1) bad("trials must be >= 1");
-  if (config.controller_replicas < 1 || config.controller_replicas > 16) {
-    bad("controller replicas must be in [1, 16], got " +
-        std::to_string(config.controller_replicas));
-  }
+  knob("replicas").check(static_cast<double>(config.controller_replicas));
   if (config.controller_replicas >= 2 &&
       config.controller_style != ControllerStyle::kIdrCentralized) {
     bad("controller replication requires the IDR controller style");
@@ -140,26 +142,18 @@ core::AsNumber ExperimentSpec::origin() const {
   return core::AsNumber{1};
 }
 
-topology::TopologySpec ExperimentSpec::make_topology(std::uint64_t seed) const {
-  topology::TopologySpec spec;
-  switch (topology) {
-    case TopologyModel::kClique:
-      spec = topology::clique(topology_size);
-      break;
-    case TopologyModel::kLine:
-      spec = topology::line(topology_size);
-      break;
-    case TopologyModel::kRing:
-      spec = topology::ring(topology_size);
-      break;
-    case TopologyModel::kStar:
-      spec = topology::star(topology_size);
-      break;
+topology::TopologySpec make_topology_graph(TopologyModel model,
+                                           std::size_t size,
+                                           std::uint64_t seed) {
+  switch (model) {
+    case TopologyModel::kClique: return topology::clique(size);
+    case TopologyModel::kLine: return topology::line(size);
+    case TopologyModel::kRing: return topology::ring(size);
+    case TopologyModel::kStar: return topology::star(size);
     case TopologyModel::kSynthCaida: {
       core::Rng rng{seed};
-      spec = topology::parse_caida_text(
-          topology::synthesize_caida_text(topology_size, rng));
-      break;
+      return topology::parse_caida_text(
+          topology::synthesize_caida_text(size, rng));
     }
     case TopologyModel::kInternetLike: {
       // Scale the three-tier shape from the total AS target: a small tier-1
@@ -168,21 +162,24 @@ topology::TopologySpec ExperimentSpec::make_topology(std::uint64_t seed) const {
       // one, which is what the RIB memory budget has to absorb.
       topology::InternetLikeParams params;
       params.tier1 =
-          std::min<std::size_t>(std::max<std::size_t>(3, topology_size / 25),
-                                8);
-      params.transit =
-          std::min(std::max<std::size_t>(4, topology_size / 8),
-                   topology_size - params.tier1 - 1);
-      params.stubs = topology_size - params.tier1 - params.transit;
+          std::min<std::size_t>(std::max<std::size_t>(3, size / 25), 8);
+      params.transit = std::min(std::max<std::size_t>(4, size / 8),
+                                size - params.tier1 - 1);
+      params.stubs = size - params.tier1 - params.transit;
       params.transit_uplinks = 4;
       params.stub_uplinks = 4;
       params.transit_peer_prob =
           std::min(0.2, 8.0 / static_cast<double>(params.transit));
       core::Rng rng{seed};
-      spec = topology::internet_like(params, rng);
-      break;
+      return topology::internet_like(params, rng);
     }
   }
+  return {};
+}
+
+topology::TopologySpec ExperimentSpec::make_topology(std::uint64_t seed) const {
+  topology::TopologySpec spec =
+      make_topology_graph(topology, topology_size, seed);
   if (event == EventKind::kFailover) {
     // Dual-homed stub: primary link into AS 1, backup path via the
     // intermediate AS into the highest regular AS.
@@ -338,9 +335,7 @@ void accumulate_counters(Experiment& experiment,
 
 ExperimentSpecBuilder& ExperimentSpecBuilder::topology(TopologyModel model,
                                                        std::size_t size) {
-  if (size < 2) {
-    bad("topology size must be >= 2, got " + std::to_string(size));
-  }
+  check_topology(model, size);
   spec_.topology = model;
   spec_.topology_size = size;
   return *this;
@@ -353,9 +348,7 @@ ExperimentSpecBuilder& ExperimentSpecBuilder::sdn_count(std::size_t count) {
 }
 
 ExperimentSpecBuilder& ExperimentSpecBuilder::sdn_fraction(double fraction) {
-  if (fraction < 0.0 || fraction > 1.0) {
-    bad("sdn fraction must be in [0, 1], got " + std::to_string(fraction));
-  }
+  knob("sdn-frac").check(fraction);
   spec_.sdn_fraction = fraction;
   return *this;
 }
@@ -366,7 +359,7 @@ ExperimentSpecBuilder& ExperimentSpecBuilder::event(EventKind kind) {
 }
 
 ExperimentSpecBuilder& ExperimentSpecBuilder::flap_cycles(std::size_t cycles) {
-  if (cycles < 1) bad("flap-train needs at least 1 cycle");
+  knob("flaps").check(static_cast<double>(cycles));
   spec_.flap_cycles = cycles;
   return *this;
 }
@@ -388,14 +381,14 @@ ExperimentSpecBuilder& ExperimentSpecBuilder::timers(const bgp::Timers& timers) 
 }
 
 ExperimentSpecBuilder& ExperimentSpecBuilder::mrai(core::Duration mrai) {
-  if (mrai < core::Duration::zero()) bad("mrai must be >= 0");
+  knob("mrai").check(mrai.to_seconds());
   spec_.config.timers.mrai = mrai;
   return *this;
 }
 
 ExperimentSpecBuilder& ExperimentSpecBuilder::recompute_delay(
     core::Duration delay) {
-  if (delay < core::Duration::zero()) bad("recompute delay must be >= 0");
+  knob("recompute-delay").check(delay.to_seconds());
   spec_.config.recompute_delay = delay;
   return *this;
 }
@@ -419,24 +412,21 @@ ExperimentSpecBuilder& ExperimentSpecBuilder::controller_style(
 
 ExperimentSpecBuilder& ExperimentSpecBuilder::controller_replicas(
     std::size_t replicas) {
-  if (replicas < 1 || replicas > 16) {
-    bad("controller replicas must be in [1, 16], got " +
-        std::to_string(replicas));
-  }
+  knob("replicas").check(static_cast<double>(replicas));
   spec_.config.controller_replicas = replicas;
   return *this;
 }
 
 ExperimentSpecBuilder& ExperimentSpecBuilder::election_timeout(
     core::Duration timeout) {
-  if (timeout <= core::Duration::zero()) bad("election timeout must be > 0");
+  knob("election-timeout-ms").check(timeout.to_millis());
   spec_.config.ha.election_min = timeout;
   spec_.config.ha.election_max = timeout * 2;
   return *this;
 }
 
 ExperimentSpecBuilder& ExperimentSpecBuilder::wait_quiet(core::Duration quiet) {
-  if (quiet < core::Duration::zero()) bad("wait quiet must be >= 0");
+  knob("wait-quiet").check(quiet.to_seconds());
   spec_.wait_quiet = quiet;
   return *this;
 }
@@ -463,6 +453,240 @@ ExperimentSpec ExperimentSpecBuilder::build() const {
   spec.resolve();
   spec.validate();
   return spec;
+}
+
+// --- the knob table ---------------------------------------------------------
+
+struct KnobValue {
+  double number{0.0};       // kSeconds, kMillis, kFraction
+  std::uint64_t count{0};   // kCount; the size of kModelSize
+  std::size_t word{0};      // kWords: index into the row's words
+  TopologyModel model{};    // kModelSize
+  EventKind event{};        // kEvent
+};
+
+const std::vector<Knob>& knob_table() {
+  using G = KnobGrammar;
+  using D = core::Duration;
+  using S = ExperimentSpec&;
+  using V = const KnobValue&;
+  constexpr unsigned kAll = kScenarioCommand | kMatrixFixed | kMatrixAxis;
+  constexpr unsigned kMatrix = kMatrixFixed | kMatrixAxis;
+  static const std::vector<Knob> table{
+      {.name = "topology", .grammar = G::kModelSize, .scope = kAll,
+       .doc = "clique|line|ring|star|synth-caida|internet-like graph",
+       .subject = "topology size", .min = 2, .set = [](S s, V v) {
+         s.topology = v.model;
+         s.topology_size = v.count;
+       }},
+      {.name = "sdn-frac", .grammar = G::kFraction, .scope = kMatrix,
+       .doc = "share of ASes in the SDN cluster, rounded to a count",
+       .subject = "sdn fraction", .min = 0, .max = 1,
+       .set = [](S s, V v) { s.sdn_fraction = v.number; }},
+      {.name = "sdn-count", .grammar = G::kCount, .scope = kMatrix,
+       .doc = "ASes in the SDN cluster (the top AS numbers)",
+       .set = [](S s, V v) {
+         s.sdn_count = v.count;
+         s.sdn_fraction.reset();
+       }},
+      {.name = "event", .grammar = G::kEvent, .scope = kMatrix,
+       .doc = "measured event: announcement|withdrawal|failover|flap-train",
+       .set = [](S s, V v) { s.event = v.event; }},
+      {.name = "spt", .grammar = G::kWords, .scope = kAll,
+       .doc = "controller recomputation engine",
+       .words = "incremental|reference",
+       .set = [](S s, V v) { s.config.incremental_spt = v.word == 0; }},
+      {.name = "damping", .grammar = G::kWords, .scope = kAll,
+       .doc = "route-flap damping on every legacy router", .words = "on|off",
+       .set = [](S s, V v) { s.config.damping.enabled = v.word == 0; }},
+      {.name = "controller", .grammar = G::kWords, .scope = kAll,
+       .doc = "cluster controller: IDR or RouteFlow mirror",
+       .words = "idr|routeflow", .set = [](S s, V v) {
+         s.config.controller_style = v.word == 0
+                                         ? ControllerStyle::kIdrCentralized
+                                         : ControllerStyle::kRouteFlowMirror;
+       }},
+      {.name = "mrai", .grammar = G::kSeconds, .scope = kAll,
+       .doc = "MRAI timer of every legacy router", .subject = "mrai", .min = 0,
+       .set = [](S s, V v) { s.config.timers.mrai = D::seconds_f(v.number); }},
+      {.name = "recompute-delay", .grammar = G::kSeconds, .scope = kAll,
+       .doc = "controller batching window before recomputing",
+       .subject = "recompute delay", .min = 0, .set = [](S s, V v) {
+         s.config.recompute_delay = D::seconds_f(v.number);
+       }},
+      {.name = "replicas", .grammar = G::kCount, .scope = kAll,
+       .doc = "controller replicas; 2+ is hot-standby HA (IDR only)",
+       .subject = "replicas", .min = 1, .max = 16,
+       .set = [](S s, V v) { s.config.controller_replicas = v.count; }},
+      {.name = "election-timeout-ms", .grammar = G::kMillis, .scope = kAll,
+       .doc = "base HA election timeout; replicas draw from [t, 2t]",
+       .subject = "election timeout", .min = 0, .min_exclusive = true,
+       .set = [](S s, V v) {
+         s.config.ha.election_min = D::seconds_f(v.number / 1000.0);
+         s.config.ha.election_max = D::seconds_f(v.number / 500.0);
+       }},
+      {.name = "seed", .grammar = G::kCount, .scope = kScenarioCommand,
+       .doc = "experiment seed; random graphs use the one at `topology`",
+       .set = [](S s, V v) { s.config.seed = v.count; }},
+      {.name = "link-delay-ms", .grammar = G::kMillis,
+       .scope = kScenarioCommand | kMatrixFixed,
+       .doc = "one-way delay of every link", .subject = "link delay", .min = 0,
+       .set = [](S s, V v) {
+         s.config.default_link.delay = D::seconds_f(v.number / 1000.0);
+       }},
+      {.name = "flaps", .grammar = G::kCount, .scope = kMatrixFixed,
+       .doc = "fail/restore cycles of a flap-train event", .subject = "flaps",
+       .min = 1, .set = [](S s, V v) { s.flap_cycles = v.count; }},
+      {.name = "wait-quiet", .grammar = G::kSeconds, .scope = kMatrixFixed,
+       .doc = "post-event quiet window; 0 = 2x MRAI + 1 s",
+       .subject = "wait-quiet", .min = 0,
+       .set = [](S s, V v) { s.wait_quiet = D::seconds_f(v.number); }},
+  };
+  return table;
+}
+
+const Knob* find_knob(std::string_view name, unsigned scope) {
+  for (const Knob& row : knob_table()) {
+    if (row.name == name && (row.scope & scope) != 0) return &row;
+  }
+  return nullptr;
+}
+
+const Knob& knob(std::string_view name) {
+  const Knob* row =
+      find_knob(name, kScenarioCommand | kMatrixFixed | kMatrixAxis);
+  if (row == nullptr) {
+    throw std::logic_error{"no knob '" + std::string{name} + "'"};
+  }
+  return *row;
+}
+
+std::size_t Knob::arity() const {
+  return grammar == KnobGrammar::kModelSize ? 2 : 1;
+}
+
+std::string Knob::syntax() const {
+  static constexpr const char* kSyntax[] = {
+      "", "<n>", "<seconds>", "<ms>", "<fraction>", "<model> <size>",
+      "<kind>|flap:<n>"};
+  if (grammar == KnobGrammar::kWords) return std::string{words};
+  return kSyntax[static_cast<int>(grammar)];
+}
+
+std::string Knob::bound() const {
+  if (max < std::numeric_limits<double>::infinity()) {
+    return "in [" + shown(min) + ", " + shown(max) + "]";
+  }
+  if (min > -std::numeric_limits<double>::infinity()) {
+    return (min_exclusive ? "> " : ">= ") + shown(min);
+  }
+  return "";
+}
+
+void Knob::check(double value) const {
+  if ((min_exclusive ? value <= min : value < min) || value > max) {
+    bad(std::string{subject} + " must be " + bound() + ", got " +
+        shown(value));
+  }
+}
+
+void Knob::apply(ExperimentSpec& spec, const std::string& value) const {
+  KnobValue v;
+  switch (grammar) {
+    case KnobGrammar::kWords:
+      for (std::size_t begin = 0;; ++v.word) {
+        const std::size_t end = std::min(words.find('|', begin), words.size());
+        if (words.substr(begin, end - begin) == value) break;
+        if (end == words.size()) {
+          bad("want " + std::string{words} + ", got '" + value + "'");
+        }
+        begin = end + 1;
+      }
+      break;
+    case KnobGrammar::kCount:
+      v.count = parse_count(value, name);
+      check(static_cast<double>(v.count));
+      break;
+    case KnobGrammar::kSeconds:
+    case KnobGrammar::kMillis:
+    case KnobGrammar::kFraction:
+      v.number = parse_number(value, name);
+      check(v.number);
+      break;
+    case KnobGrammar::kModelSize: {
+      const auto colon = value.find(':');
+      if (colon == std::string::npos) {
+        bad("want <model>:<size>, e.g. clique:16");
+      }
+      const std::string name_part = value.substr(0, colon);
+      const auto model = parse_topology_model(name_part);
+      if (!model) bad("unknown topology model '" + name_part + "'");
+      v.model = *model;
+      v.count = parse_count(value.substr(colon + 1), subject);
+      check_topology(v.model, v.count);
+      break;
+    }
+    case KnobGrammar::kEvent: {
+      const auto colon = value.find(':');
+      const std::string name_part = value.substr(0, colon);
+      const auto kind = parse_event_kind(name_part);
+      if (!kind) bad("unknown event kind '" + name_part + "'");
+      if (colon != std::string::npos) {
+        if (*kind != EventKind::kFlapTrain) {
+          bad("only flap events take a cycle count");
+        }
+        knob("flaps").apply(spec, value.substr(colon + 1));
+      }
+      v.event = *kind;
+      break;
+    }
+  }
+  set(spec, v);
+}
+
+std::string knob_help(unsigned scope) {
+  std::string out;
+  for (const Knob& row : knob_table()) {
+    if ((row.scope & scope) == 0) continue;
+    std::string line = "  " + std::string{row.name} + " " + row.syntax();
+    line.resize(std::max<std::size_t>(line.size() + 2, 30), ' ');
+    if ((scope & kMatrixAxis) != 0) {
+      line += (row.scope & kMatrixAxis) != 0 ? "axis  " : "      ";
+    }
+    line += row.doc;
+    if (const std::string b = row.bound(); !b.empty()) line += " (" + b + ")";
+    out += line + "\n";
+  }
+  return out;
+}
+
+std::uint64_t parse_count(const std::string& token, std::string_view what) {
+  try {
+    std::size_t pos = 0;
+    const long long v = std::stoll(token, &pos);
+    if (pos == token.size() && v >= 0) return static_cast<std::uint64_t>(v);
+  } catch (const std::exception&) {
+  }
+  bad(std::string{what} + " needs a non-negative integer, got '" + token +
+      "'");
+}
+
+double parse_number(const std::string& token, std::string_view what) {
+  try {
+    std::size_t pos = 0;
+    const double v = std::stod(token, &pos);
+    if (pos == token.size() && std::isfinite(v)) return v;
+  } catch (const std::exception&) {
+  }
+  bad(std::string{what} + " needs a number, got '" + token + "'");
+}
+
+std::uint64_t parse_count_flag(int& i, int argc, char** argv,
+                               std::string_view flag, std::uint64_t min) {
+  if (i + 1 >= argc) bad(std::string{flag} + " needs a value");
+  const std::uint64_t v = parse_count(argv[++i], flag);
+  if (v < min) bad(std::string{flag} + " must be >= " + std::to_string(min));
+  return v;
 }
 
 }  // namespace bgpsdn::framework

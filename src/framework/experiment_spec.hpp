@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -177,6 +178,86 @@ struct ExperimentSpec {
 /// "key counters" block of the JSON reports.
 void accumulate_counters(Experiment& experiment,
                          std::map<std::string, std::int64_t>& out);
+
+/// The graph of one topology model and size, without the failover
+/// decoration. `seed` feeds the synth-caida and internet-like generators.
+topology::TopologySpec make_topology_graph(TopologyModel model,
+                                           std::size_t size,
+                                           std::uint64_t seed);
+
+// --- the knob table ----------------------------------------------------------
+//
+// Every experiment knob is one row: name, value grammar, bound, doc and
+// setter. The scenario DSL, `.matrix` files, the builder, validate() and
+// the CLIs' --help all read the rows.
+
+enum class KnobGrammar {
+  kWords,      // one of the row's '|'-separated words
+  kCount,      // non-negative integer
+  kSeconds,    // decimal seconds
+  kMillis,     // decimal milliseconds
+  kFraction,   // decimal fraction
+  kModelSize,  // <model>:<size>; two tokens on a command line
+  kEvent,      // <kind>, or flap:<cycles>
+};
+
+/// Where a row is accepted (bit set); part of the table, not settable.
+enum KnobScope : unsigned {
+  kScenarioCommand = 1u << 0,  // scenario-DSL command before `start`
+  kMatrixFixed = 1u << 1,      // fixed `.matrix` line
+  kMatrixAxis = 1u << 2,       // `.matrix` axis key
+};
+
+struct KnobValue;  // a parsed value, defined next to the table
+
+struct Knob {
+  std::string_view name;
+  KnobGrammar grammar;
+  unsigned scope;
+  std::string_view doc;
+  std::string_view words{};  // kWords: "idr|routeflow"
+  /// Bound on the parsed number (kModelSize: the size) in the grammar's
+  /// unit, and the noun its rejection names.
+  std::string_view subject{};
+  double min{-std::numeric_limits<double>::infinity()};
+  bool min_exclusive{false};
+  double max{std::numeric_limits<double>::infinity()};
+  void (*set)(ExperimentSpec&, const KnobValue&){};
+
+  /// Value tokens on a command line; front ends join them with ':'.
+  std::size_t arity() const;
+  /// "<seconds>", "idr|routeflow", ... for --help.
+  std::string syntax() const;
+  /// "in [1, 16]", ">= 0", ...; empty when unbounded.
+  std::string bound() const;
+  /// Throws std::invalid_argument "<subject> must be <bound>, got <value>".
+  void check(double value) const;
+  /// Parse, bound-check and set; std::invalid_argument carries the cause
+  /// alone, and front ends add their line and context.
+  void apply(ExperimentSpec& spec, const std::string& value) const;
+};
+
+/// Every row, the matrix axes first in `axis` vocabulary order.
+const std::vector<Knob>& knob_table();
+/// The row `name` whose scope meets `scope`; nullptr when none.
+const Knob* find_knob(std::string_view name, unsigned scope);
+/// The row `name`; std::logic_error when there is none.
+const Knob& knob(std::string_view name);
+/// "  <name> <syntax>  <doc> (<bound>)" per row meeting `scope`; axes are
+/// marked when `scope` includes kMatrixAxis.
+std::string knob_help(unsigned scope);
+
+/// The count grammar: a non-negative integer, else std::invalid_argument
+/// "<what> needs a non-negative integer, got '<token>'".
+std::uint64_t parse_count(const std::string& token, std::string_view what);
+/// The number grammar: a finite decimal, else std::invalid_argument
+/// "<what> needs a number, got '<token>'".
+double parse_number(const std::string& token, std::string_view what);
+/// The count grammar for a command-line flag: consumes argv[i + 1],
+/// advancing i, and requires at least `min`; std::invalid_argument names
+/// `flag` otherwise.
+std::uint64_t parse_count_flag(int& i, int argc, char** argv,
+                               std::string_view flag, std::uint64_t min = 0);
 
 /// Fluent, validating assembly of an ExperimentSpec. Each setter does its
 /// local checks immediately (throwing std::invalid_argument); build() runs

@@ -21,146 +21,28 @@ std::string join(const std::vector<std::string>& items) {
   return out;
 }
 
-double parse_double(const std::string& token, const char* what) {
+/// The axis keys, in table order — the `known:` vocabulary.
+std::vector<std::string> axis_names() {
+  std::vector<std::string> names;
+  for (const Knob& row : knob_table()) {
+    if ((row.scope & kMatrixAxis) != 0) names.emplace_back(row.name);
+  }
+  return names;
+}
+
+/// Applies one value; an axis key's rejection names the key and the value.
+void apply_value(ExperimentSpec& spec, const Knob& knob,
+                 const std::string& value) {
   try {
-    std::size_t pos = 0;
-    const double v = std::stod(token, &pos);
-    if (pos != token.size()) throw std::invalid_argument{""};
-    return v;
-  } catch (...) {
-    bad(std::string{what} + " needs a number, got '" + token + "'");
-  }
-}
-
-std::size_t parse_count(const std::string& token, const char* what) {
-  try {
-    std::size_t pos = 0;
-    const long long v = std::stoll(token, &pos);
-    if (pos != token.size() || v < 0) throw std::invalid_argument{""};
-    return static_cast<std::size_t>(v);
-  } catch (...) {
-    bad(std::string{what} + " needs a non-negative integer, got '" + token +
-        "'");
-  }
-}
-
-void apply_topology(ExperimentSpec& spec, const std::string& value) {
-  const auto colon = value.find(':');
-  if (colon == std::string::npos) {
-    bad("want <model>:<size>, e.g. clique:16");
-  }
-  const std::string model_name = value.substr(0, colon);
-  const auto model = parse_topology_model(model_name);
-  if (!model) bad("unknown topology model '" + model_name + "'");
-  const std::size_t size =
-      parse_count(value.substr(colon + 1), "topology size");
-  if (size < 2) bad("topology size must be >= 2, got " + std::to_string(size));
-  spec.topology = *model;
-  spec.topology_size = size;
-}
-
-void apply_event(ExperimentSpec& spec, const std::string& value) {
-  std::string name = value;
-  std::optional<std::size_t> cycles;
-  if (const auto colon = value.find(':'); colon != std::string::npos) {
-    name = value.substr(0, colon);
-    cycles = parse_count(value.substr(colon + 1), "flap cycle count");
-  }
-  const auto kind = parse_event_kind(name);
-  if (!kind) bad("unknown event kind '" + name + "'");
-  if (cycles) {
-    if (*kind != EventKind::kFlapTrain) {
-      bad("only flap events take a cycle count");
-    }
-    if (*cycles < 1) bad("flap-train needs at least 1 cycle");
-    spec.flap_cycles = *cycles;
-  }
-  spec.event = *kind;
-}
-
-void apply_on_off(bool& slot, const std::string& value, const char* what) {
-  if (value == "on") {
-    slot = true;
-  } else if (value == "off") {
-    slot = false;
-  } else {
-    bad(std::string{"want on|off for "} + what + ", got '" + value + "'");
+    knob.apply(spec, value);
+  } catch (const std::invalid_argument& e) {
+    if ((knob.scope & kMatrixAxis) == 0) throw;
+    bad("bad value '" + value + "' for axis '" + std::string{knob.name} +
+        "': " + e.what());
   }
 }
 
 }  // namespace
-
-const std::vector<std::string>& axis_keys() {
-  static const std::vector<std::string> keys{
-      "topology", "sdn-frac",   "sdn-count", "event",
-      "spt",      "damping",    "controller", "mrai",
-      "recompute-delay", "replicas", "election-timeout-ms"};
-  return keys;
-}
-
-void apply_axis_value(ExperimentSpec& spec, const std::string& axis,
-                      const std::string& value) {
-  try {
-    if (axis == "topology") {
-      apply_topology(spec, value);
-    } else if (axis == "sdn-frac") {
-      const double f = parse_double(value, "sdn-frac");
-      if (f < 0.0 || f > 1.0) {
-        bad("sdn fraction must be in [0, 1], got " + value);
-      }
-      spec.sdn_fraction = f;
-    } else if (axis == "sdn-count") {
-      spec.sdn_count = parse_count(value, "sdn-count");
-      spec.sdn_fraction.reset();
-    } else if (axis == "event") {
-      apply_event(spec, value);
-    } else if (axis == "spt") {
-      if (value == "incremental") {
-        spec.config.incremental_spt = true;
-      } else if (value == "reference") {
-        spec.config.incremental_spt = false;
-      } else {
-        bad("want incremental|reference, got '" + value + "'");
-      }
-    } else if (axis == "damping") {
-      apply_on_off(spec.config.damping.enabled, value, "damping");
-    } else if (axis == "controller") {
-      if (value == "idr") {
-        spec.config.controller_style = ControllerStyle::kIdrCentralized;
-      } else if (value == "routeflow") {
-        spec.config.controller_style = ControllerStyle::kRouteFlowMirror;
-      } else {
-        bad("want idr|routeflow, got '" + value + "'");
-      }
-    } else if (axis == "mrai") {
-      const double s = parse_double(value, "mrai");
-      if (s < 0.0) bad("mrai must be >= 0, got " + value);
-      spec.config.timers.mrai = core::Duration::seconds_f(s);
-    } else if (axis == "recompute-delay") {
-      const double s = parse_double(value, "recompute-delay");
-      if (s < 0.0) bad("recompute delay must be >= 0, got " + value);
-      spec.config.recompute_delay = core::Duration::seconds_f(s);
-    } else if (axis == "replicas") {
-      const std::size_t n = parse_count(value, "replicas");
-      if (n < 1 || n > 16) {
-        bad("replicas must be in [1, 16], got " + value);
-      }
-      spec.config.controller_replicas = n;
-    } else if (axis == "election-timeout-ms") {
-      const double ms = parse_double(value, "election-timeout-ms");
-      if (ms <= 0.0) bad("election timeout must be > 0, got " + value);
-      spec.config.ha.election_min = core::Duration::seconds_f(ms / 1000.0);
-      spec.config.ha.election_max = core::Duration::seconds_f(ms / 500.0);
-    } else {
-      throw std::invalid_argument{"unknown axis '" + axis +
-                                  "' (known: " + join(axis_keys()) + ")"};
-    }
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    if (what.rfind("unknown axis ", 0) == 0) throw;
-    bad("bad value '" + value + "' for axis '" + axis + "': " + what);
-  }
-}
 
 const std::string* MatrixCell::coord(const std::string& axis) const {
   for (const auto& [name, value] : coords) {
@@ -207,15 +89,13 @@ MatrixSpec MatrixSpec::parse(std::istream& in) {
         if (matrix.trials < 1) fail("trials must be >= 1");
       } else if (cmd == "base-seed") {
         need(1);
-        matrix.base_seed =
-            static_cast<std::uint64_t>(parse_count(t[1], "base-seed"));
+        matrix.base_seed = parse_count(t[1], "base-seed");
       } else if (cmd == "axis") {
         if (t.size() < 2) fail("usage: axis <key> <value...>");
         const std::string& key = t[1];
-        bool known = false;
-        for (const auto& k : axis_keys()) known |= k == key;
-        if (!known) {
-          fail("unknown axis '" + key + "' (known: " + join(axis_keys()) +
+        const Knob* knob = find_knob(key, kMatrixAxis);
+        if (knob == nullptr) {
+          fail("unknown axis '" + key + "' (known: " + join(axis_names()) +
                ")");
         }
         for (const auto& existing : matrix.axes) {
@@ -233,29 +113,10 @@ MatrixSpec MatrixSpec::parse(std::istream& in) {
           // Validate the value's shape right here, against a scratch copy,
           // so a typo fails at its own line instead of inside expand().
           ExperimentSpec scratch = matrix.base;
-          apply_axis_value(scratch, key, t[i]);
+          apply_value(scratch, *knob, t[i]);
           axis.values.push_back(t[i]);
         }
         matrix.axes.push_back(std::move(axis));
-      } else if (cmd == "topology") {
-        // Scenario-DSL spelling: `topology clique 16`.
-        need(2);
-        apply_axis_value(matrix.base, "topology", t[1] + ":" + t[2]);
-      } else if (cmd == "link-delay-ms") {
-        need(1);
-        const double ms = parse_double(t[1], "link-delay-ms");
-        if (ms < 0.0) fail("link delay must be >= 0");
-        matrix.base.config.default_link.delay =
-            core::Duration::seconds_f(ms / 1000.0);
-      } else if (cmd == "wait-quiet") {
-        need(1);
-        const double s = parse_double(t[1], "wait-quiet");
-        if (s < 0.0) fail("wait-quiet must be >= 0");
-        matrix.base.wait_quiet = core::Duration::seconds_f(s);
-      } else if (cmd == "flaps") {
-        need(1);
-        matrix.base.flap_cycles = parse_count(t[1], "flaps");
-        if (matrix.base.flap_cycles < 1) fail("flaps must be >= 1");
       } else if (cmd == "announce") {
         need(2);
         const std::size_t as = parse_count(t[1], "announce AS");
@@ -265,24 +126,21 @@ MatrixSpec MatrixSpec::parse(std::istream& in) {
             core::AsNumber{static_cast<std::uint32_t>(as)}, *prefix);
       } else if (cmd == "fault-seed") {
         need(1);
-        matrix.base.faults.seed =
-            static_cast<std::uint64_t>(parse_count(t[1], "fault-seed"));
+        matrix.base.faults.seed = parse_count(t[1], "fault-seed");
       } else if (cmd == "fault") {
         if (t.size() < 3) fail("usage: fault <seconds> <event...>");
-        const double at_s = parse_double(t[1], "fault time");
+        const double at_s = parse_number(t[1], "fault time");
         if (at_s < 0.0) fail("fault time must be >= 0");
         matrix.base.faults.events.push_back(FaultPlan::parse_event(
             {t.begin() + 2, t.end()}, core::Duration::seconds_f(at_s)));
+      } else if (const Knob* knob = find_knob(cmd, kMatrixFixed)) {
+        // Fixed setting: `mrai 30`, `damping on`, `topology clique 16`, ...
+        need(knob->arity());
+        std::string value = t[1];
+        for (std::size_t i = 2; i < t.size(); ++i) value += ":" + t[i];
+        apply_value(matrix.base, *knob, value);
       } else {
-        bool is_axis_key = false;
-        for (const auto& k : axis_keys()) is_axis_key |= k == cmd;
-        if (is_axis_key) {
-          // Fixed setting with an axis key: `mrai 30`, `damping on`, ...
-          need(1);
-          apply_axis_value(matrix.base, cmd, t[1]);
-        } else {
-          fail("unknown key '" + cmd + "'");
-        }
+        fail("unknown key '" + cmd + "'");
       }
     } catch (const std::invalid_argument& e) {
       const std::string what = e.what();
@@ -314,7 +172,7 @@ std::vector<MatrixCell> MatrixSpec::expand() const {
       cell.coords.emplace_back(axes[a].name, value);
       if (!cell.label.empty()) cell.label += ',';
       cell.label += axes[a].name + "=" + value;
-      apply_axis_value(cell.spec, axes[a].name, value);
+      apply_value(cell.spec, *find_knob(axes[a].name, kMatrixAxis), value);
     }
     try {
       cell.spec.resolve();

@@ -16,11 +16,17 @@
 //     axis event withdrawal announcement failover
 //     axis spt incremental reference
 //
-// Fixed lines reuse the scenario DSL's command vocabulary (`topology`,
-// `mrai`, `damping`, `fault`, ...); `axis <key> <values...>` sweeps one
-// setting instead of fixing it. Every axis value is validated at parse
-// time, the cross product is checked for semantic duplicates, and all
-// diagnostics carry the offending line number.
+// Fixed lines and axis keys are rows of the knob table
+// (framework/experiment_spec.hpp), so they share the scenario DSL's
+// spelling and diagnostics (`topology`, `mrai`, `damping`, ...); the
+// matrix adds its own `matrix`, `trials`, `base-seed`, `announce`,
+// `fault-seed` and `fault` lines. `axis <key>
+// <values...>` sweeps one setting instead of fixing it; the 11 axis keys are
+// topology, sdn-frac, sdn-count, event, spt, damping, controller, mrai,
+// recompute-delay, replicas and election-timeout-ms (`bgpsdn_matrix --help`
+// lists them). Every axis value is validated at parse time, the cross
+// product is checked for semantic duplicates, and all diagnostics carry the
+// offending line number.
 #pragma once
 
 #include <cstdint>
@@ -32,18 +38,6 @@
 #include "framework/experiment_spec.hpp"
 
 namespace bgpsdn::framework {
-
-/// The sweepable axis keys, in the order `axis` lines accept them:
-/// topology, sdn-frac, sdn-count, event, spt, damping, controller, mrai,
-/// recompute-delay. Returned by axis_keys() for diagnostics.
-const std::vector<std::string>& axis_keys();
-
-/// Apply one axis value (e.g. "clique:16" for axis "topology", "0.5" for
-/// axis "sdn-frac") to a spec. Shared by fixed matrix lines, axis
-/// expansion and `--filter` validation. Throws std::invalid_argument with
-/// a self-contained message on unknown keys or malformed values.
-void apply_axis_value(ExperimentSpec& spec, const std::string& axis,
-                      const std::string& value);
 
 struct MatrixAxis {
   std::string name;

@@ -13,7 +13,6 @@
 #include "framework/telemetry_monitor.hpp"
 #include "framework/visualize.hpp"
 #include "topology/datasets.hpp"
-#include "topology/generators.hpp"
 
 namespace bgpsdn::framework {
 
@@ -62,11 +61,8 @@ net::Prefix ScenarioRunner::parse_prefix(const Line& line,
 double ScenarioRunner::parse_number(const Line& line,
                                     const std::string& token) const {
   try {
-    std::size_t pos = 0;
-    const double v = std::stod(token, &pos);
-    if (pos != token.size()) throw std::invalid_argument{""};
-    return v;
-  } catch (...) {
+    return framework::parse_number(token, "");
+  } catch (const std::invalid_argument&) {
     fail(line, "bad number '" + token + "'");
   }
 }
@@ -123,101 +119,28 @@ void ScenarioRunner::execute(const Line& line, ScenarioResult& result) {
     if (started()) fail(line, cmd + " must come before 'start'");
   };
 
-  if (cmd == "seed") {
-    need(1);
+  if (const Knob* knob = find_knob(cmd, kScenarioCommand)) {
     forbid_after_start();
-    config_.seed = static_cast<std::uint64_t>(parse_number(line, t[1]));
-  } else if (cmd == "mrai") {
-    need(1);
-    forbid_after_start();
-    config_.timers.mrai = core::Duration::seconds_f(parse_number(line, t[1]));
-  } else if (cmd == "recompute-delay") {
-    need(1);
-    forbid_after_start();
-    config_.recompute_delay = core::Duration::seconds_f(parse_number(line, t[1]));
-  } else if (cmd == "link-delay-ms") {
-    need(1);
-    forbid_after_start();
-    config_.default_link.delay =
-        core::Duration::seconds_f(parse_number(line, t[1]) / 1000.0);
-  } else if (cmd == "controller") {
-    need(1);
-    forbid_after_start();
-    if (t[1] == "idr") {
-      config_.controller_style = ControllerStyle::kIdrCentralized;
-    } else if (t[1] == "routeflow") {
-      config_.controller_style = ControllerStyle::kRouteFlowMirror;
-    } else {
-      fail(line, "unknown controller style '" + t[1] + "' (idr|routeflow)");
-    }
-  } else if (cmd == "spt") {
-    need(1);
-    forbid_after_start();
-    if (t[1] == "incremental") {
-      config_.incremental_spt = true;
-    } else if (t[1] == "reference") {
-      config_.incremental_spt = false;
-    } else {
-      fail(line, "unknown spt engine '" + t[1] + "' (incremental|reference)");
-    }
-  } else if (cmd == "damping") {
-    need(1);
-    forbid_after_start();
-    if (t[1] == "on") {
-      config_.damping.enabled = true;
-    } else if (t[1] == "off") {
-      config_.damping.enabled = false;
-    } else {
-      fail(line, "usage: damping on|off");
-    }
-  } else if (cmd == "replicas") {
-    need(1);
-    forbid_after_start();
-    const double v = parse_number(line, t[1]);
-    const auto n = static_cast<std::size_t>(v);
-    if (v != static_cast<double>(n) || n < 1 || n > 16) {
-      fail(line, "replicas '" + t[1] + "' must be an integer in [1, 16]");
-    }
-    config_.controller_replicas = n;
-  } else if (cmd == "election-timeout-ms") {
-    need(1);
-    forbid_after_start();
-    const double ms = parse_number(line, t[1]);
-    if (ms <= 0.0) {
-      fail(line, "election-timeout-ms '" + t[1] + "' must be > 0");
-    }
-    // Timeouts are drawn from [min, 2*min], Raft-style.
-    config_.ha.election_min = core::Duration::seconds_f(ms / 1000.0);
-    config_.ha.election_max = core::Duration::seconds_f(ms / 500.0);
-  } else if (cmd == "topology") {
-    forbid_after_start();
-    if (t.size() < 3) {
-      fail(line,
-           "usage: topology <clique|line|ring|star|synth-caida> <n> | "
-           "topology caida-file <path>");
-    }
-    if (t[1] == "caida-file") {
+    if (knob->grammar == KnobGrammar::kModelSize && t.size() == 3 &&
+        t[1] == "caida-file") {
       std::ifstream file{t[2]};
       if (!file) fail(line, "cannot open '" + t[2] + "'");
       spec_ = topology::parse_caida(file);
-    } else {
-      const auto n = static_cast<std::size_t>(parse_number(line, t[2]));
-      if (t[1] == "clique") {
-        spec_ = topology::clique(n);
-      } else if (t[1] == "line") {
-        spec_ = topology::line(n);
-      } else if (t[1] == "ring") {
-        spec_ = topology::ring(n);
-      } else if (t[1] == "star") {
-        spec_ = topology::star(n);
-      } else if (t[1] == "synth-caida") {
-        core::Rng rng{config_.seed};
-        spec_ = topology::parse_caida_text(topology::synthesize_caida_text(n, rng));
-      } else {
-        fail(line, "unknown topology model '" + t[1] + "'");
-      }
+      have_topology_ = true;
+      return;
     }
-    have_topology_ = true;
+    need(knob->arity());
+    try {
+      knob->apply(knobs_, knob->arity() == 2 ? t[1] + ":" + t[2] : t[1]);
+    } catch (const std::invalid_argument& e) {
+      fail(line, e.what());
+    }
+    if (knob->grammar == KnobGrammar::kModelSize) {
+      // Random graphs draw from the seed in effect at this line.
+      spec_ = make_topology_graph(knobs_.topology, knobs_.topology_size,
+                                  knobs_.config.seed);
+      have_topology_ = true;
+    }
   } else if (cmd == "sdn") {
     forbid_after_start();
     if (!have_topology_) fail(line, "'sdn' requires a topology first");
@@ -244,8 +167,9 @@ void ScenarioRunner::execute(const Line& line, ScenarioResult& result) {
     need(0);
     if (started()) fail(line, "already started");
     if (!have_topology_) fail(line, "no topology declared");
-    if (seed_override_) config_.seed = *seed_override_;
-    experiment_ = std::make_unique<Experiment>(spec_, members_, config_);
+    if (seed_override_) knobs_.config.seed = *seed_override_;
+    experiment_ =
+        std::make_unique<Experiment>(spec_, members_, knobs_.config);
     if (capture_telemetry_) experiment_->attach_monitor<TelemetryMonitor>();
     for (const auto as : hosts_) experiment_->add_host(as);
     for (const auto& [as, pfx] : pre_announce_) {

@@ -21,6 +21,12 @@
 // control and verify the running network. Lines starting with '#' are
 // comments. Errors (syntax, unknown AS, failed expectation) abort the run
 // with a message naming the line.
+// Configuration commands are knob-table rows (experiment_spec.hpp; see
+// `bgpsdn_run --help`), plus `topology caida-file <path>`. `topology`
+// builds the graph at its own line: synth-caida and internet-like graphs
+// are drawn from the `seed` in effect there, so a later `seed` line does
+// not change the graph, and `bgpsdn_run --trials` (which overrides the
+// experiment seed) varies the experiment but not the graph.
 #pragma once
 
 #include <cstdint>
@@ -30,8 +36,7 @@
 #include <string>
 #include <vector>
 
-#include "framework/experiment.hpp"
-#include "framework/faults.hpp"
+#include "framework/experiment_spec.hpp"
 
 namespace bgpsdn::framework {
 
@@ -83,7 +88,8 @@ class ScenarioRunner {
   net::Prefix parse_prefix(const Line& line, const std::string& token) const;
   double parse_number(const Line& line, const std::string& token) const;
 
-  ExperimentConfig config_{};
+  /// Knob-table settings; only the config and topology fields are read.
+  ExperimentSpec knobs_{};
   std::optional<std::uint64_t> seed_override_;
   bool capture_telemetry_{false};
   topology::TopologySpec spec_{};

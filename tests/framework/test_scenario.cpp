@@ -1,11 +1,16 @@
 // Scenario DSL tests: full happy-path scripts, configuration plumbing,
-// expectation failures, and syntax errors with line numbers.
+// expectation failures, and syntax errors with line numbers; plus the knob
+// table's contract with its front ends (DSL/matrix parity, --help, README).
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <fstream>
+#include <map>
+#include <utility>
+#include <vector>
 
 #include "bgp/mrt.hpp"
+#include "framework/matrix.hpp"
 #include "framework/scenario.hpp"
 
 namespace bgpsdn::framework {
@@ -100,7 +105,7 @@ TEST(Scenario, SyntaxErrorsAreReported) {
   expect_error("withdraw 1 10.0.0.0/16\n", "requires 'start'");
   expect_error("topology clique 3\nstart\nseed 4\n", "before 'start'");
   expect_error("topology clique 3\nstart\nstart\n", "already started");
-  expect_error("mrai x\n", "bad number");
+  expect_error("mrai x\n", "line 1: mrai needs a number, got 'x'");
   expect_error("start\n", "no topology");
 }
 
@@ -196,12 +201,13 @@ TEST(Scenario, ReplicaSyntaxErrorsAreExact) {
     EXPECT_NE(result.error.find(needle), std::string::npos)
         << script << " -> " << result.error;
   };
-  expect_error("replicas 0\n", "replicas '0' must be an integer in [1, 16]");
-  expect_error("replicas 17\n", "replicas '17' must be an integer in [1, 16]");
+  expect_error("replicas 0\n", "line 1: replicas must be in [1, 16], got 0");
+  expect_error("replicas 17\n",
+               "line 1: replicas must be in [1, 16], got 17");
   expect_error("replicas 2.5\n",
-               "replicas '2.5' must be an integer in [1, 16]");
+               "line 1: replicas needs a non-negative integer, got '2.5'");
   expect_error("election-timeout-ms 0\n",
-               "election-timeout-ms '0' must be > 0");
+               "line 1: election timeout must be > 0, got 0");
   expect_error("topology clique 3\nstart\nreplicas 2\n", "before 'start'");
   expect_error(
       "topology clique 4\nsdn 4\nstart\ncrash controller x\n",
@@ -218,6 +224,153 @@ TEST(Scenario, ReplicaSyntaxErrorsAreExact) {
       runner.run("topology clique 4\nsdn 4\nstart\ncrash controller 3\n");
   ASSERT_FALSE(result.ok);
   EXPECT_NE(result.error.find("line 4"), std::string::npos);
+}
+
+TEST(Scenario, KnobValuesAreBoundedAtTheirLine) {
+  // Each bad value fails at its own line (2) with the knob table's message,
+  // before `start`; the DSL once accepted all but the last of these.
+  const std::vector<std::pair<std::string, std::string>> cases{
+      {"mrai -5", "mrai must be >= 0, got -5"},
+      {"recompute-delay -1", "recompute delay must be >= 0, got -1"},
+      {"link-delay-ms -3", "link delay must be >= 0, got -3"},
+      {"topology clique 1", "topology size must be >= 2, got 1"},
+      {"topology clique 2.9",
+       "topology size needs a non-negative integer, got '2.9'"},
+      {"seed -1", "seed needs a non-negative integer, got '-1'"},
+      {"topology internet-like 5",
+       "internet-like topologies need >= 8 ASes, got 5"},
+  };
+  for (const auto& [input, message] : cases) {
+    ScenarioRunner runner;
+    const auto result =
+        runner.run("damping off\n" + input + "\ntopology clique 3\nstart\n");
+    EXPECT_FALSE(result.ok) << input;
+    EXPECT_EQ(result.error, "line 2: " + message) << input;
+  }
+}
+
+TEST(Scenario, InternetLikeTopology) {
+  ScenarioRunner runner;
+  const auto result = runner.run(
+      "seed 4\n"
+      "mrai 0.3\n"
+      "topology internet-like 12\n"
+      "start\n");
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_NE(result.output[0].find("started: 12 ASes"), std::string::npos);
+}
+
+/// One valid and one out-of-range value for every row the DSL and the
+/// matrix both accept, as command-line arguments.
+const std::map<std::string, std::pair<std::string, std::string>>&
+common_row_values() {
+  static const std::map<std::string, std::pair<std::string, std::string>>
+      values{
+          {"topology", {"ring 7", "ring 1"}},
+          {"spt", {"reference", "maybe"}},
+          {"damping", {"on", "yes"}},
+          {"controller", {"routeflow", "onos"}},
+          {"mrai", {"0.7", "-1"}},
+          {"recompute-delay", {"0.3", "-2"}},
+          {"replicas", {"3", "17"}},
+          {"election-timeout-ms", {"120", "0"}},
+          {"link-delay-ms", {"7", "-3"}},
+      };
+  return values;
+}
+
+/// Every ExperimentConfig field a knob writes, plus the seed.
+std::string knob_fields(const ExperimentConfig& cfg) {
+  return "seed=" + std::to_string(cfg.seed) +
+         " mrai=" + std::to_string(cfg.timers.mrai.count_nanos()) +
+         " recompute=" + std::to_string(cfg.recompute_delay.count_nanos()) +
+         " link_delay=" + std::to_string(cfg.default_link.delay.count_nanos()) +
+         " controller=" +
+         std::to_string(static_cast<int>(cfg.controller_style)) +
+         " incremental_spt=" + std::to_string(cfg.incremental_spt) +
+         " damping=" + std::to_string(cfg.damping.enabled) +
+         " replicas=" + std::to_string(cfg.controller_replicas) +
+         " election=" + std::to_string(cfg.ha.election_min.count_nanos()) +
+         ".." + std::to_string(cfg.ha.election_max.count_nanos());
+}
+
+TEST(KnobTable, DslAndMatrixAgreeOnEveryCommonRow) {
+  const unsigned both = kScenarioCommand | kMatrixFixed;
+  std::size_t common = 0;
+  for (const Knob& row : knob_table()) {
+    if ((row.scope & both) != both) continue;
+    ++common;
+    const std::string name{row.name};
+    SCOPED_TRACE(name);
+    const auto it = common_row_values().find(name);
+    ASSERT_NE(it, common_row_values().end()) << "no parity values";
+    const auto& [valid, invalid] = it->second;
+
+    // The same valid value through both front ends gives the same config.
+    const std::string setting =
+        name + " " + valid + "\n" +
+        (name == "topology" ? "" : "topology clique 4\n");
+    const auto matrix = MatrixSpec::parse(setting);
+    ScenarioRunner runner;
+    const auto result = runner.run(setting + "sdn 4\nstart\n");
+    ASSERT_TRUE(result.ok) << result.error;
+    EXPECT_EQ(knob_fields(runner.experiment()->config()),
+              knob_fields(matrix.base.config));
+    EXPECT_EQ(result.output[0], "started: " +
+                                    matrix.base.make_topology(1).summary() +
+                                    ", 1 SDN member(s)");
+
+    // The same bad value gives the same cause in both.
+    const auto dsl = ScenarioRunner{}.run(name + " " + invalid + "\n");
+    ASSERT_FALSE(dsl.ok);
+    ASSERT_EQ(dsl.error.rfind("line 1: ", 0), 0u) << dsl.error;
+    const std::string cause = dsl.error.substr(8);
+    std::string from_matrix;
+    try {
+      MatrixSpec::parse(name + " " + invalid + "\n");
+    } catch (const std::invalid_argument& e) {
+      from_matrix = e.what();
+    }
+    ASSERT_GE(from_matrix.size(), cause.size()) << from_matrix;
+    EXPECT_EQ(from_matrix.substr(from_matrix.size() - cause.size()), cause)
+        << from_matrix;
+  }
+  EXPECT_EQ(common, common_row_values().size());
+}
+
+TEST(KnobTable, ReadmeNamesEveryRow) {
+  std::ifstream in{std::string{BGPSDN_SOURCE_DIR} + "/README.md"};
+  ASSERT_TRUE(in.good());
+  const std::string readme{std::istreambuf_iterator<char>{in},
+                           std::istreambuf_iterator<char>{}};
+  for (const Knob& row : knob_table()) {
+    const std::string name{row.name};
+    EXPECT_TRUE(readme.find("`" + name + "`") != std::string::npos ||
+                readme.find("`" + name + " ") != std::string::npos)
+        << "README.md does not list knob `" << name << "`";
+  }
+}
+
+TEST(KnobTable, HelpListsTheRowsOfItsScope) {
+  const std::string dsl = knob_help(kScenarioCommand);
+  const std::string matrix = knob_help(kMatrixFixed | kMatrixAxis);
+  for (const Knob& row : knob_table()) {
+    const std::string entry = "  " + std::string{row.name} + " " + row.syntax();
+    EXPECT_EQ(dsl.find(entry) != std::string::npos,
+              (row.scope & kScenarioCommand) != 0)
+        << entry;
+    EXPECT_EQ(matrix.find(entry) != std::string::npos,
+              (row.scope & (kMatrixFixed | kMatrixAxis)) != 0)
+        << entry;
+    const auto at = matrix.find(entry);
+    if (at != std::string::npos) {
+      const std::string line = matrix.substr(at, matrix.find('\n', at) - at);
+      EXPECT_EQ(line.find(" axis ") != std::string::npos,
+                (row.scope & kMatrixAxis) != 0)
+          << line;
+      EXPECT_NE(line.find(std::string{row.doc}), std::string::npos) << line;
+    }
+  }
 }
 
 TEST(Scenario, SynthCaidaTopology) {

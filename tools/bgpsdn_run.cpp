@@ -42,12 +42,17 @@ void usage(const char* argv0) {
                "  --faults PATH  arm a fault plan when the scenario's 'start' "
                "completes\n"
                "               (see src/framework/faults.hpp for the plan "
-               "grammar)\n";
+               "grammar)\n"
+               "configuration commands (before 'start'):\n"
+            << bgpsdn::framework::knob_help(bgpsdn::framework::kScenarioCommand)
+            << "  topology caida-file <path>  AS graph from a CAIDA "
+               "relationship file\n";
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  namespace fw = bgpsdn::framework;
   std::size_t trials = 1;
   std::uint64_t base_seed = 1000;
   std::size_t jobs = 0;  // 0 = BGPSDN_JOBS / hardware_concurrency
@@ -56,62 +61,39 @@ int main(int argc, char** argv) {
   std::string input;
   bool have_input = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg{argv[i]};
-    const auto number_arg = [&](const char* flag) -> long long {
-      if (i + 1 >= argc) {
-        std::cerr << flag << " needs a value\n";
-        std::exit(1);
-      }
-      try {
-        std::size_t used = 0;
-        const std::string value{argv[++i]};
-        const long long parsed = std::stoll(value, &used);
-        if (used != value.size()) throw std::invalid_argument{value};
-        return parsed;
-      } catch (const std::exception&) {
-        std::cerr << flag << " needs a number, got '" << argv[i] << "'\n";
-        std::exit(1);
-      }
-    };
-    if (arg == "--trials") {
-      const auto v = number_arg("--trials");
-      if (v < 1) {
-        std::cerr << "--trials must be >= 1\n";
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string_view arg{argv[i]};
+      const auto value_arg = [&](const char* flag, const char* what) {
+        if (i + 1 >= argc) {
+          throw std::invalid_argument{std::string{flag} + " needs " + what};
+        }
+        return std::string{argv[++i]};
+      };
+      if (arg == "--trials") {
+        trials = fw::parse_count_flag(i, argc, argv, "--trials", 1);
+      } else if (arg == "--base-seed") {
+        base_seed = fw::parse_count_flag(i, argc, argv, "--base-seed");
+      } else if (arg == "--jobs") {
+        jobs = fw::parse_count_flag(i, argc, argv, "--jobs", 1);
+      } else if (arg == "--json") {
+        json_path = value_arg("--json", "a path");
+      } else if (arg == "--faults") {
+        faults_path = value_arg("--faults", "a path");
+      } else if (arg == "--help" || arg == "-h") {
+        usage(argv[0]);
+        return 0;
+      } else if (!have_input) {
+        input = arg;
+        have_input = true;
+      } else {
+        usage(argv[0]);
         return 1;
       }
-      trials = static_cast<std::size_t>(v);
-    } else if (arg == "--base-seed") {
-      base_seed = static_cast<std::uint64_t>(number_arg("--base-seed"));
-    } else if (arg == "--jobs") {
-      const auto v = number_arg("--jobs");
-      if (v < 1) {
-        std::cerr << "--jobs must be >= 1\n";
-        return 1;
-      }
-      jobs = static_cast<std::size_t>(v);
-    } else if (arg == "--json") {
-      if (i + 1 >= argc) {
-        std::cerr << "--json needs a path\n";
-        return 1;
-      }
-      json_path = argv[++i];
-    } else if (arg == "--faults") {
-      if (i + 1 >= argc) {
-        std::cerr << "--faults needs a path\n";
-        return 1;
-      }
-      faults_path = argv[++i];
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else if (!have_input) {
-      input = arg;
-      have_input = true;
-    } else {
-      usage(argv[0]);
-      return 1;
     }
+  } catch (const std::invalid_argument& e) {
+    std::cerr << e.what() << "\n";
+    return 1;
   }
   if (!have_input) {
     usage(argv[0]);
@@ -167,7 +149,6 @@ int main(int argc, char** argv) {
         std::chrono::duration<double>(Clock::now() - t0).count();
     for (const auto& line : result.output) std::cout << line << "\n";
     if (!json_path.empty()) {
-      namespace fw = bgpsdn::framework;
       namespace tel = bgpsdn::telemetry;
       fw::BenchReport report{"bgpsdn_run"};
       report.set_param("scenario", tel::Json{input});
@@ -260,7 +241,6 @@ int main(int argc, char** argv) {
       wall, serial, wall > 0 ? serial / wall : 0.0,
       wall > 0 ? static_cast<double>(trials) / wall : 0.0);
   if (!json_path.empty()) {
-    namespace fw = bgpsdn::framework;
     namespace tel = bgpsdn::telemetry;
     fw::BenchReport report{"bgpsdn_run"};
     report.set_param("scenario", tel::Json{input});

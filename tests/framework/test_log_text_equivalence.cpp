@@ -6,7 +6,8 @@
 // instant, every detector activity count, the update-rate buckets and the
 // route-change timeline. The retained text itself is checked line for line
 // against a golden captured from the eager logger that built every detail
-// at the emit site.
+// at the emit site, and the detector's activity counts and the counters fed
+// by one kind of fact each are pinned to that run's values.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -39,6 +40,21 @@ struct Observed {
   std::vector<std::string> timeline;               // kTracker only
   std::vector<std::string> log_lines;              // kRetain only
   std::vector<core::LogRecord> records;            // kRetain only
+  std::map<std::string, std::int64_t> counters;    // kind-derived, at the end
+};
+
+/// The registry counters that count one kind of fact each.
+const char* const kFactCounters[] = {
+    "bgp.router.updates_tx",       "bgp.decision.best_changes",
+    "bgp.session.transitions",     "speaker.announces_tx",
+    "speaker.withdraws_tx",        "speaker.crashes",
+    "speaker.updates_rx",          "sdn.switch.flow_mods",
+    "sdn.switch.stale_flowmods_rejected",
+    "sdn.switch.standalone_entries",
+    "ctrl.idr.recompute_passes",   "ctrl.fallback.activations",
+    "framework.controller_crashes", "framework.controller_restarts",
+    "framework.speaker_crashes",   "framework.speaker_restarts",
+    "faults.injected",
 };
 
 ExperimentConfig config_for(Consumer consumer, std::uint64_t seed) {
@@ -83,6 +99,11 @@ Observed observe(Experiment& exp, Consumer consumer, Drive drive) {
     }
   }
   if (rate != nullptr) out.buckets = rate->buckets();
+  for (const char* name : kFactCounters) {
+    if (const auto* c = exp.telemetry().metrics().find_counter(name)) {
+      out.counters[name] = c->value();
+    }
+  }
   out.records = exp.logger().records();
   for (const auto& rec : out.records) out.log_lines.push_back(rec.to_string());
   return out;
@@ -175,8 +196,16 @@ std::vector<std::string> read_golden(const std::string& name) {
   return lines;
 }
 
+/// What the detector and the fact-fed counters saw, pinned from the run
+/// that produced the golden.
+struct Pinned {
+  std::vector<std::uint64_t> activity;
+  std::map<std::string, std::int64_t> counters;
+};
+
 template <typename Run>
-void expect_consumers_agree(Run run, const std::string& golden) {
+void expect_consumers_agree(Run run, const std::string& golden,
+                            const Pinned& pinned) {
   const Observed none = run(Consumer::kNone);
   const Observed retain = run(Consumer::kRetain);
   const Observed tracked = run(Consumer::kTracker);
@@ -189,6 +218,10 @@ void expect_consumers_agree(Run run, const std::string& golden) {
     EXPECT_EQ(none.activity, other->activity);
   }
   EXPECT_GT(none.activity.front(), 0u);
+  for (const Observed* each : {&none, &retain, &tracked, &rated}) {
+    EXPECT_EQ(each->activity, pinned.activity);
+    EXPECT_EQ(each->counters, pinned.counters);
+  }
 
   // The tag-only monitor and the text sink saw what was retained.
   EXPECT_FALSE(rated.buckets.empty());
@@ -210,11 +243,29 @@ void expect_consumers_agree(Run run, const std::string& golden) {
 }
 
 TEST(LogTextEquivalence, HybridCliqueAcrossConsumers) {
-  expect_consumers_agree(run_clique, "log_text_clique.txt");
+  expect_consumers_agree(run_clique, "log_text_clique.txt",
+                         {{91, 167},
+                          {{"bgp.decision.best_changes", 12},
+                           {"bgp.router.updates_tx", 42},
+                           {"bgp.session.transitions", 86},
+                           {"ctrl.idr.recompute_passes", 4},
+                           {"sdn.switch.flow_mods", 4},
+                           {"speaker.announces_tx", 4},
+                           {"speaker.updates_rx", 16},
+                           {"speaker.withdraws_tx", 4}}});
 }
 
 TEST(LogTextEquivalence, HybridInternetLikeAcrossConsumers) {
-  expect_consumers_agree(run_internet, "log_text_internet.txt");
+  expect_consumers_agree(run_internet, "log_text_internet.txt",
+                         {{372, 528, 532, 538},
+                          {{"bgp.decision.best_changes", 54},
+                           {"bgp.router.updates_tx", 128},
+                           {"bgp.session.transitions", 264},
+                           {"ctrl.idr.recompute_passes", 4},
+                           {"sdn.switch.flow_mods", 6},
+                           {"speaker.announces_tx", 24},
+                           {"speaker.updates_rx", 20},
+                           {"speaker.withdraws_tx", 12}}});
 }
 
 }  // namespace

@@ -416,17 +416,19 @@ fi
 # hot-path machinery: the attribute store (non-atomic refcounts, orphaned
 # bundles, export-cache chains unlinked on free), the dense pending sets,
 # the shared encode buffers, the COW byte payloads, the slot-slab event
-# loop under churn, and the logger's on-demand detail callables (they
-# capture the emit site's locals by reference and run inside the log call).
+# loop under churn, and the fact dispatcher's detail and span-argument
+# callables (they capture the emit site's locals by reference and run
+# inside the emit call, for text readers and while tracing).
 echo "===== asan+ubsan"
 cmake -B build-asan "${GENERATOR[@]}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -g" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 cmake --build build-asan -j "$(nproc)" \
-  --target test_framework test_bgp test_net test_core test_controller bgpsdn_run
+  --target test_framework test_bgp test_net test_core test_controller \
+  test_telemetry bgpsdn_run
 ./build-asan/tests/test_framework \
-  --gtest_filter='FaultPlanParse.*:FaultInjector.*:FaultDsl.*:FaultDeterminism.*:CrashRecovery.*:ExportOracle.*:AttrStoreLifetime.*:LogTextEquivalence.*'
+  --gtest_filter='FaultPlanParse.*:FaultInjector.*:FaultDsl.*:FaultDeterminism.*:CrashRecovery.*:ExportOracle.*:AttrStoreLifetime.*:LogTextEquivalence.*:TraceTextEquivalence.*:WaitApi.*:TelemetryDeterminism.*'
 ./build-asan/tests/test_controller --gtest_filter='ReplicaSet*'
 # The HA chaos scenario + plan under ASan: elections, partition deposal and
 # the degrade/recover hooks all tear subsystems down mid-flight.
@@ -436,7 +438,8 @@ cmake --build build-asan -j "$(nproc)" \
   --gtest_filter='*CodecFuzz*:*LiveSessionFuzz*:AttrIntern.*:AttrStore.*:AttrExportCache.*:AttrRegistry.*:PrefixIndex.*:PrefixSet.*:EncodeShared.*'
 ./build-asan/tests/test_net \
   --gtest_filter='*LinkParams*:*RuntimeLoss*:*Corruption*:Bytes.*:AddressFormat.*'
-./build-asan/tests/test_core --gtest_filter='EventLoop.*:Logger.*'
+./build-asan/tests/test_core --gtest_filter='EventLoop.*:Logger.*:FactTable.*'
+./build-asan/tests/test_telemetry --gtest_filter='FactDispatch.*'
 
 # ThreadSanitizer job: rebuild the test binaries with -fsanitize=thread and
 # run everything that exercises the parallel trial runners. Simulations are

@@ -2,7 +2,7 @@
 
 #include "bgp/router.hpp"
 #include "core/event_loop.hpp"
-#include "core/logger.hpp"
+#include "core/fact.hpp"
 #include "net/network.hpp"
 
 namespace bgpsdn::bgp {
@@ -73,10 +73,9 @@ void RouteCollector::session_transmit(Session& session, net::Bytes wire) {
 void RouteCollector::session_established(Session&) {}
 
 void RouteCollector::session_down(Session& session, const std::string& reason) {
-  logger().log(loop().now(), core::LogLevel::kInfo, session_log_name(),
-               "session_down", [&] {
-                 return "peer " + session.peer_as().to_string() + ": " + reason;
-               });
+  emit({core::FactKind::kPeerDown, session_log_name(), [&] {
+          return "peer " + session.peer_as().to_string() + ": " + reason;
+        }});
 }
 
 void RouteCollector::session_update(Session& session, const UpdateMessage& update) {
@@ -87,11 +86,10 @@ void RouteCollector::session_update(Session& session, const UpdateMessage& updat
     tape_.push_back(
         {loop().now(), session.peer_as(), true, prefix, update.attributes.as_path});
   }
-  logger().log(loop().now(), core::LogLevel::kDebug, session_log_name(),
-               "collector_rx", [&] {
-                 return "from " + session.peer_as().to_string() + " " +
-                        update.to_string();
-               });
+  emit({core::FactKind::kCollectorRx, session_log_name(), [&] {
+          return "from " + session.peer_as().to_string() + " " +
+                 update.to_string();
+        }});
 }
 
 core::EventLoop& RouteCollector::session_loop() { return loop(); }

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "core/event_loop.hpp"
-#include "core/logger.hpp"
+#include "core/fact.hpp"
 #include "core/random.hpp"
 #include "net/network.hpp"
 #include "telemetry/trace.hpp"
@@ -88,16 +88,16 @@ void BgpRouter::attach_host(core::PortId port, const net::Prefix& prefix) {
 
 void BgpRouter::originate(const net::Prefix& prefix) {
   local_prefixes_.emplace(prefix, loop().now());
-  logger().log(loop().now(), core::LogLevel::kInfo, session_log_name(),
-               "origin_announce", [&] { return prefix.to_string(); });
+  emit({core::FactKind::kOriginAnnounce, session_log_name(),
+        [&] { return prefix.to_string(); }});
   TxBatch batch{*this};
   recompute(prefix);
 }
 
 void BgpRouter::withdraw_origin(const net::Prefix& prefix) {
   if (local_prefixes_.erase(prefix) == 0) return;
-  logger().log(loop().now(), core::LogLevel::kInfo, session_log_name(),
-               "origin_withdraw", [&] { return prefix.to_string(); });
+  emit({core::FactKind::kOriginWithdraw, session_log_name(),
+        [&] { return prefix.to_string(); }});
   TxBatch batch{*this};
   recompute(prefix);
 }
@@ -151,9 +151,8 @@ void BgpRouter::session_transmit(Session& session, net::Bytes wire) {
 
 void BgpRouter::session_established(Session& session) {
   Peer* peer = peer_of(session);
-  logger().log(loop().now(), core::LogLevel::kInfo, session_log_name(),
-               "session_up",
-               [&] { return "peer " + session.peer_as().to_string(); });
+  emit({core::FactKind::kPeerUp, session_log_name(),
+        [&] { return "peer " + session.peer_as().to_string(); }});
   if (config_.timers.mrai_style == MraiStyle::kPeriodicQuagga &&
       peer_mrai(*peer) > core::Duration::zero()) {
     // Initial table transfer goes out promptly; afterwards the
@@ -173,10 +172,9 @@ void BgpRouter::session_established(Session& session) {
 
 void BgpRouter::session_down(Session& session, const std::string& reason) {
   Peer* peer = peer_of(session);
-  logger().log(loop().now(), core::LogLevel::kInfo, session_log_name(),
-               "session_down", [&] {
-                 return "peer " + session.peer_as().to_string() + ": " + reason;
-               });
+  emit({core::FactKind::kPeerDown, session_log_name(), [&] {
+          return "peer " + session.peer_as().to_string() + ": " + reason;
+        }});
   ++peer->epoch;
   peer->rib_out.clear();
   peer->pending.clear();
@@ -193,20 +191,13 @@ void BgpRouter::session_down(Session& session, const std::string& reason) {
 void BgpRouter::session_update(Session& session, const UpdateMessage& update) {
   Peer* peer = peer_of(session);
   ++counters_.updates_rx;
-  logger().log(loop().now(), core::LogLevel::kDebug, session_log_name(),
-               "update_rx", [&] {
-                 return "from " + session.peer_as().to_string() + " " +
-                        update.to_string();
-               });
+  emit({core::FactKind::kUpdateRx, session_log_name(),
+        [&] {
+          return "from " + session.peer_as().to_string() + " " +
+                 update.to_string();
+        },
+        {session.peer_as(), update.nlri.size(), update.withdrawn.size()}});
   const auto routes = update.nlri.size() + update.withdrawn.size();
-  if (auto* tel = telemetry(); tel != nullptr && tel->tracing()) {
-    auto span = telemetry::TraceSpan::instant(loop().now(), "bgp", "update_rx",
-                                              session_log_name());
-    span.arg("from", session.peer_as().to_string())
-        .arg("nlri", static_cast<std::int64_t>(update.nlri.size()))
-        .arg("withdrawn", static_cast<std::int64_t>(update.withdrawn.size()));
-    tel->emit(span);
-  }
   const auto cost = config_.processing.per_update +
                     config_.processing.per_route * static_cast<std::int64_t>(routes);
   const auto epoch = peer->epoch;
@@ -227,8 +218,6 @@ void BgpRouter::init_metrics() {
   if (auto* tel = telemetry()) {
     auto& metrics = tel->metrics();
     decision_runs_metric_ = &metrics.counter("bgp.decision.runs");
-    best_changes_metric_ = &metrics.counter("bgp.decision.best_changes");
-    updates_tx_metric_ = &metrics.counter("bgp.router.updates_tx");
     decision_candidates_metric_ = &metrics.histogram("bgp.decision.candidates");
   }
 }
@@ -309,11 +298,10 @@ void BgpRouter::note_flap(core::SessionId session, const net::Prefix& prefix,
       dampener_.record_flap(session, prefix, withdrawal, loop().now());
   if (!verdict.suppressed) return;
   ++counters_.routes_suppressed;
-  logger().log(loop().now(), core::LogLevel::kInfo, session_log_name(),
-               "route_damped", [&] {
-                 return prefix.to_string() + " penalty " +
-                        std::to_string(static_cast<int>(verdict.penalty));
-               });
+  emit({core::FactKind::kRouteDamped, session_log_name(), [&] {
+          return prefix.to_string() + " penalty " +
+                 std::to_string(static_cast<int>(verdict.penalty));
+        }});
   // Re-evaluate once the penalty decays to the reuse threshold.
   loop().schedule(verdict.reuse_after + core::Duration::millis(1),
                   [this, prefix] {
@@ -329,7 +317,6 @@ void BgpRouter::recompute(const net::Prefix& prefix) {
   const std::uint32_t slot = prefix_index_.intern(prefix);
   if (slot >= sources_.size()) sources_.resize(slot + 1);
   if (decision_runs_metric_ != nullptr) decision_runs_metric_->inc();
-  const std::uint64_t best_changes_before = counters_.best_changes;
   // Incremental best-path selection over an allocation-free visitation of
   // the Adj-RIB-In candidates (visited in session-ascending order, so ties
   // resolve exactly as the old select_best-over-vector did). The running
@@ -367,6 +354,7 @@ void BgpRouter::recompute(const net::Prefix& prefix) {
   }
 
   const Route* current = loc_rib_.find(prefix);
+  const auto prefix_text = [&] { return prefix.to_string(); };
 
   if (!have_best) {
     if (current == nullptr) return;
@@ -374,8 +362,8 @@ void BgpRouter::recompute(const net::Prefix& prefix) {
     sources_[slot] = ExportSource{};
     if (host_ports_.count(prefix) == 0) fib_.erase(prefix);
     ++counters_.best_changes;
-    logger().log(loop().now(), core::LogLevel::kInfo, session_log_name(),
-                 "best_lost", [&] { return prefix.to_string(); });
+    emit({core::FactKind::kBestLost, session_log_name(), prefix_text,
+          {prefix_text, candidate_count, true}});
   } else {
     const bool changed = current == nullptr ||
                          current->attributes != best.attributes ||
@@ -400,28 +388,14 @@ void BgpRouter::recompute(const net::Prefix& prefix) {
       fib_.insert(prefix, via->port);
     }
     ++counters_.best_changes;
-    logger().log(loop().now(), core::LogLevel::kInfo, session_log_name(),
-                 "best_changed", [&] {
-                   // lint: alloc-ok(runs only when a text consumer reads
-                   // the record: retention, echo or a text sink)
-                   return prefix.to_string() + " via [" +
-                          best.attributes->as_path.to_string() + "]";
-                 });
-  }
-
-  if (auto* tel = telemetry()) {
-    if (best_changes_metric_ != nullptr &&
-        counters_.best_changes != best_changes_before) {
-      best_changes_metric_->inc();
-    }
-    if (tel->tracing()) {
-      auto span = telemetry::TraceSpan::instant(loop().now(), "bgp", "decision",
-                                                session_log_name());
-      span.arg("prefix", prefix.to_string())
-          .arg("candidates", static_cast<std::int64_t>(candidate_count))
-          .arg("best_changed", counters_.best_changes != best_changes_before);
-      tel->emit(span);
-    }
+    emit({core::FactKind::kBestChanged, session_log_name(),
+          [&] {
+            // lint: alloc-ok(runs only when a reader asks for the text:
+            // retention, echo or a sink calling detail())
+            return prefix.to_string() + " via [" +
+                   best.attributes->as_path.to_string() + "]";
+          },
+          {prefix_text, candidate_count, true}});
   }
 
   for (auto& [port, peer] : peers_) schedule_peer_update(peer, slot);
@@ -538,18 +512,12 @@ void BgpRouter::flush_peer(Peer& peer) {
     // advertisement the timer was pacing.
     peer.mrai_span_open = false;
     if (auto* tel = telemetry()) {
-      const auto now = loop().now();
       tel->metrics()
           .histogram("bgp.mrai.wait_ns")
-          .record((now - peer.mrai_armed_at).count_nanos());
-      if (tel->tracing()) {
-        auto span = telemetry::TraceSpan{peer.mrai_armed_at, now, "bgp",
-                                         "mrai_wait", session_log_name()};
-        span.arg("peer", peer.session->peer_as().to_string())
-            .arg("pending", static_cast<std::int64_t>(peer.pending.size()));
-        tel->emit(span);
-      }
+          .record((loop().now() - peer.mrai_armed_at).count_nanos());
     }
+    emit({core::FactKind::kMraiWait, session_log_name(), {},
+          {peer.session->peer_as(), peer.pending.size()}, peer.mrai_armed_at});
   }
   peer.pending.take_sorted(prefix_index_, flush_slots_);
   std::vector<net::Prefix> withdrawals;
@@ -590,23 +558,14 @@ void BgpRouter::emit_updates(Peer& peer, UpdateGroups& groups,
   }
   for (auto& m : messages) {
     ++counters_.updates_tx;
-    init_metrics();
-    if (updates_tx_metric_ != nullptr) updates_tx_metric_->inc();
-    logger().log(loop().now(), core::LogLevel::kDebug, session_log_name(),
-                 "update_tx", [&] {
-                   // lint: alloc-ok(runs only when a text consumer reads
-                   // the record: retention, echo or a text sink)
-                   return "to " + peer.session->peer_as().to_string() + " " +
-                          m.to_string();
-                 });
-    if (auto* tel = telemetry(); tel != nullptr && tel->tracing()) {
-      auto span = telemetry::TraceSpan::instant(loop().now(), "bgp",
-                                                "update_tx", session_log_name());
-      span.arg("to", peer.session->peer_as().to_string())
-          .arg("nlri", static_cast<std::int64_t>(m.nlri.size()))
-          .arg("withdrawn", static_cast<std::int64_t>(m.withdrawn.size()));
-      tel->emit(span);
-    }
+    emit({core::FactKind::kUpdateTx, session_log_name(),
+          [&] {
+            // lint: alloc-ok(runs only when a reader asks for the text:
+            // retention, echo or a sink calling detail())
+            return "to " + peer.session->peer_as().to_string() + " " +
+                   m.to_string();
+          },
+          {peer.session->peer_as(), m.nlri.size(), m.withdrawn.size()}});
     peer.session->send_update(m);
   }
 }

@@ -258,8 +258,6 @@ class BgpRouter : public net::Node, public SessionHost {
   void init_metrics();
   bool metrics_resolved_{false};
   telemetry::Counter* decision_runs_metric_{nullptr};
-  telemetry::Counter* best_changes_metric_{nullptr};
-  telemetry::Counter* updates_tx_metric_{nullptr};
   telemetry::Histogram* decision_candidates_metric_{nullptr};
   mutable std::string log_name_;
 };

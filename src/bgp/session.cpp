@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/event_loop.hpp"
-#include "core/logger.hpp"
 #include "core/random.hpp"
 #include "telemetry/trace.hpp"
 
@@ -30,9 +29,10 @@ const char* to_string(SessionState s) {
   return "?";
 }
 
-void Session::log(std::string_view event, core::LogDetail detail) {
-  host_.session_logger().log(host_.session_loop().now(), core::LogLevel::kDebug,
-                             log_name(), event, detail);
+void Session::emit(core::FactKind kind, core::LogDetail detail,
+                   std::array<core::FactArg, 3> args) {
+  telemetry::emit(host_.session_logger(), host_.session_telemetry(),
+                  host_.session_loop().now(), {kind, log_name(), detail, args});
 }
 
 const std::string& Session::log_name() const {
@@ -43,17 +43,6 @@ const std::string& Session::log_name() const {
   return log_name_;
 }
 
-void Session::init_metrics() {
-  if (metrics_resolved_) return;
-  metrics_resolved_ = true;
-  if (auto* tel = host_.session_telemetry()) {
-    auto& metrics = tel->metrics();
-    updates_tx_metric_ = &metrics.counter("bgp.session.updates_tx");
-    updates_rx_metric_ = &metrics.counter("bgp.session.updates_rx");
-    transitions_metric_ = &metrics.counter("bgp.session.transitions");
-  }
-}
-
 void Session::transition(SessionState next) {
   const SessionState prev = state_;
   if (prev == next) return;
@@ -61,24 +50,13 @@ void Session::transition(SessionState next) {
   if (prev == SessionState::kIdle && next == SessionState::kConnect) {
     connect_started_ = host_.session_loop().now();
   }
-  init_metrics();
-  if (transitions_metric_ != nullptr) transitions_metric_->inc();
   auto* tel = host_.session_telemetry();
-  if (tel == nullptr) return;
-  auto& metrics = tel->metrics();
-  if (next == SessionState::kEstablished) {
-    metrics.counter("bgp.session.established").inc();
-    metrics.histogram("bgp.session.establish_ns")
+  if (tel != nullptr && next == SessionState::kEstablished) {
+    tel->metrics()
+        .histogram("bgp.session.establish_ns")
         .record((host_.session_loop().now() - connect_started_).count_nanos());
-  } else if (prev == SessionState::kEstablished) {
-    metrics.counter("bgp.session.dropped").inc();
   }
-  if (tel->tracing()) {
-    auto span = telemetry::TraceSpan::instant(
-        host_.session_loop().now(), "bgp", "fsm", log_name());
-    span.arg("from", to_string(prev)).arg("to", to_string(next));
-    tel->emit(span);
-  }
+  emit(core::FactKind::kFsm, {}, {to_string(prev), to_string(next)});
 }
 
 void Session::start() {
@@ -99,8 +77,8 @@ void Session::start() {
     transmit(open);
     transition(SessionState::kOpenSent);
     reset_hold_timer();
-    log("open_sent",
-        [&] { return "to " + config_.remote_address.to_string(); });
+    emit(core::FactKind::kOpenSent,
+         [&] { return "to " + config_.remote_address.to_string(); });
   });
 }
 
@@ -119,7 +97,7 @@ void Session::stop(const std::string& reason, bool auto_restart) {
   codec_ = CodecOptions{};
   if (was_established) {
     ++counters_.flaps;
-    log("session_down", reason);
+    emit(core::FactKind::kSessionDown, reason);
     host_.session_down(*this, reason);
   }
   if (auto_restart) {
@@ -175,8 +153,7 @@ void Session::receive(const std::vector<std::byte>& wire) {
       break;
     case MessageType::kUpdate:
       ++counters_.updates_rx;
-      init_metrics();
-      if (updates_rx_metric_ != nullptr) updates_rx_metric_->inc();
+      emit(core::FactKind::kSessionUpdateRx, {});
       on_update(std::get<UpdateMessage>(*msg));
       break;
     case MessageType::kNotification:
@@ -233,7 +210,7 @@ void Session::on_open(const OpenMessage& m) {
   transmit(KeepaliveMessage{});
   transition(SessionState::kOpenConfirm);
   reset_hold_timer();
-  log("open_rx", [&] { return "peer " + peer_as_.to_string(); });
+  emit(core::FactKind::kOpenRx, [&] { return "peer " + peer_as_.to_string(); });
 }
 
 void Session::on_keepalive() {
@@ -268,7 +245,8 @@ void Session::enter_established() {
   transition(SessionState::kEstablished);
   reset_hold_timer();
   arm_keepalive_timer();
-  log("session_up", [&] { return "peer " + peer_as_.to_string(); });
+  emit(core::FactKind::kSessionUp,
+       [&] { return "peer " + peer_as_.to_string(); });
   host_.session_established(*this);
 }
 
@@ -276,10 +254,9 @@ void Session::send_update(const UpdateMessage& update) {
   if (!established()) return;
   // Honour the RFC 4271 4096-byte message cap: oversized updates are split
   // transparently (one attribute bundle per NLRI piece).
-  init_metrics();
   for (const auto& piece : split_update(update, codec_)) {
     ++counters_.updates_tx;
-    if (updates_tx_metric_ != nullptr) updates_tx_metric_->inc();
+    emit(core::FactKind::kSessionUpdateTx, {});
     transmit(piece);
   }
 }

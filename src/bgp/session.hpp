@@ -7,11 +7,12 @@
 // is real and runs over the emulated network in wire format.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "core/fact.hpp"
 #include "core/ids.hpp"
 #include "core/time.hpp"
 #include "bgp/message.hpp"
@@ -21,7 +22,6 @@
 
 namespace bgpsdn::core {
 class EventLoop;
-class LogDetail;
 class Logger;
 class Rng;
 }  // namespace bgpsdn::core
@@ -136,10 +136,9 @@ class Session {
   std::uint16_t negotiated_hold_s() const { return negotiated_hold_s_; }
 
  private:
-  /// Single funnel for every FSM state change: updates counters, emits an
-  /// instant "fsm" trace span, and records the connect→established latency.
+  /// Single funnel for every FSM state change: emits the fsm fact (counter
+  /// and span) and records the connect→established latency.
   void transition(SessionState next);
-  void init_metrics();
   void transmit(const Message& m);
   void on_open(const OpenMessage& m);
   void on_keepalive();
@@ -150,7 +149,9 @@ class Session {
   void reset_hold_timer();
   void arm_keepalive_timer();
   void cancel_timers();
-  void log(std::string_view event, core::LogDetail detail);
+  /// Emit one fact of this session (component: log_name()).
+  void emit(core::FactKind kind, core::LogDetail detail,
+            std::array<core::FactArg, 3> args = {});
   /// "<host>.s<id>", built on first use.
   const std::string& log_name() const;
 
@@ -171,12 +172,6 @@ class Session {
   std::uint64_t epoch_{0};
   /// When the current connect attempt began (for the establish histogram).
   core::TimePoint connect_started_{};
-  /// Cached metric handles (network-wide aggregates); nullptr when the host
-  /// has no telemetry. Resolved once on first use.
-  bool metrics_resolved_{false};
-  telemetry::Counter* updates_tx_metric_{nullptr};
-  telemetry::Counter* updates_rx_metric_{nullptr};
-  telemetry::Counter* transitions_metric_{nullptr};
   mutable std::string log_name_;
 };
 

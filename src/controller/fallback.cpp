@@ -4,30 +4,20 @@
 #include <utility>
 #include <vector>
 
-#include "core/logger.hpp"
 #include "telemetry/trace.hpp"
 
 namespace bgpsdn::controller {
-
-void FallbackRouting::log(const char* event, const std::string& detail) const {
-  logger_.log(loop_.now(), core::LogLevel::kInfo, "fallback", event, detail);
-}
 
 void FallbackRouting::activate(const std::map<net::Prefix, Origin>& origins) {
   if (active_) return;
   active_ = true;
   ++counters_.activations;
   origins_ = origins;
-  log("activate", std::to_string(origins.size()) + " member origins");
-  if (telemetry_ != nullptr) {
-    telemetry_->metrics().counter("ctrl.fallback.activations").inc();
-    if (telemetry_->tracing()) {
-      auto span = telemetry::TraceSpan::instant(loop_.now(), "ctrl",
-                                                "fallback_activate", "fallback");
-      span.arg("origins", static_cast<std::int64_t>(origins.size()));
-      telemetry_->emit(span);
-    }
-  }
+  telemetry::emit(
+      logger_, telemetry_, loop_.now(),
+      {core::FactKind::kFallbackActivate, "fallback",
+       [&] { return std::to_string(origins.size()) + " member origins"; },
+       {origins.size()}});
   for (const auto& [prefix, origin] : origins_) dirty_.insert(prefix);
   // Seed the external RIB from the speaker's retained Adj-RIBs-In; the
   // replay arrives through the listener callbacks below and marks every
@@ -46,7 +36,9 @@ void FallbackRouting::deactivate() {
   origins_.clear();
   installed_.clear();
   dirty_.clear();
-  log("deactivate", "controller resumed control");
+  telemetry::emit(logger_, telemetry_, loop_.now(),
+                  {core::FactKind::kFallbackDeactivate, "fallback",
+                   "controller resumed control"});
 }
 
 void FallbackRouting::originate(const net::Prefix& prefix, Origin origin) {

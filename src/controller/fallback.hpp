@@ -108,7 +108,6 @@ class FallbackRouting : public speaker::SpeakerListener {
   void run_recompute(std::uint64_t epoch);
   void recompute_prefix(const net::Prefix& prefix);
   std::optional<speaker::PeeringId> relay_peering_for(sdn::Dpid dpid) const;
-  void log(const char* event, const std::string& detail) const;
 
   core::EventLoop& loop_;
   core::Logger& logger_;

@@ -1,7 +1,7 @@
 #include "controller/idr_controller.hpp"
 
 #include "core/event_loop.hpp"
-#include "core/logger.hpp"
+#include "core/fact.hpp"
 #include "net/network.hpp"
 #include "telemetry/trace.hpp"
 
@@ -19,18 +19,16 @@ void IdrController::bind_speaker(speaker::ClusterBgpSpeaker& speaker) {
 void IdrController::originate(sdn::Dpid origin, const net::Prefix& prefix,
                               std::optional<core::PortId> host_port) {
   origins_[prefix] = OriginInfo{origin, host_port};
-  logger().log(loop().now(), core::LogLevel::kInfo, idr_log_name(),
-               "origin_announce", [&] {
-                 return prefix.to_string() + " at dpid " +
-                        std::to_string(origin);
-               });
+  emit({core::FactKind::kOriginAnnounce, idr_log_name(), [&] {
+          return prefix.to_string() + " at dpid " + std::to_string(origin);
+        }});
   mark_dirty(prefix);
 }
 
 void IdrController::withdraw_origin(const net::Prefix& prefix) {
   if (origins_.erase(prefix) == 0) return;
-  logger().log(loop().now(), core::LogLevel::kInfo, idr_log_name(),
-               "origin_withdraw", [&] { return prefix.to_string(); });
+  emit({core::FactKind::kOriginWithdraw, idr_log_name(),
+        [&] { return prefix.to_string(); }});
   mark_dirty(prefix);
 }
 
@@ -71,12 +69,10 @@ void IdrController::adopt_shadow(IdrShadowState&& shadow) {
   external_routes_ = std::move(shadow.external_routes);
   origins_ = std::move(shadow.origins);
   installed_ = std::move(shadow.installed);
-  logger().log(loop().now(), core::LogLevel::kInfo, idr_log_name(),
-               "adopt_shadow", [&] {
-                 return std::to_string(external_routes_.size()) +
-                        " rib prefixes, " + std::to_string(installed_.size()) +
-                        " flow prefixes";
-               });
+  emit({core::FactKind::kAdoptShadow, idr_log_name(), [&] {
+          return std::to_string(external_routes_.size()) + " rib prefixes, " +
+                 std::to_string(installed_.size()) + " flow prefixes";
+        }});
   mark_all_dirty();
 }
 
@@ -160,12 +156,11 @@ void IdrController::on_port_status(const sdn::SwitchChannel& channel,
                                    const sdn::OfPortStatus& status) {
   // Intra-cluster link?
   if (graph_.set_port_state(channel.dpid, status.port, status.up)) {
-    logger().log(loop().now(), core::LogLevel::kInfo, idr_log_name(),
-                 "cluster_link_state", [&] {
-                   return "dpid " + std::to_string(channel.dpid) + " port " +
-                          std::to_string(status.port.value()) +
-                          (status.up ? " up" : " down");
-                 });
+    emit({core::FactKind::kClusterLinkState, idr_log_name(), [&] {
+            return "dpid " + std::to_string(channel.dpid) + " port " +
+                   std::to_string(status.port.value()) +
+                   (status.up ? " up" : " down");
+          }});
     if (decider_ != nullptr) {
       // The change sits in the switch graph's changelog; the recompute
       // pass replays it into the per-prefix trees and re-decides only the
@@ -257,26 +252,20 @@ void IdrController::run_recompute() {
     }
   }
   idr_counters_.prefixes_dirty += batch.size();
-  logger().log(loop().now(), core::LogLevel::kInfo, idr_log_name(), "recompute",
-               [&] { return std::to_string(batch.size()) + " prefixes"; });
   if (auto* tel = telemetry()) {
     auto& metrics = tel->metrics();
-    metrics.counter("ctrl.idr.recompute_passes").inc();
     metrics.counter("ctrl.idr.prefixes_dirty")
         .inc(static_cast<std::int64_t>(batch.size()));
     metrics.histogram("ctrl.idr.batch_prefixes")
         .record(static_cast<std::int64_t>(batch.size()));
     metrics.histogram("ctrl.idr.batch_wait_ns")
         .record((loop().now() - batch_opened_at_).count_nanos());
-    if (tel->tracing()) {
-      // The span covers the batching delay: opened at the first dirtying
-      // input, closed here where the recomputation pass runs.
-      auto span = telemetry::TraceSpan{batch_opened_at_, loop().now(), "ctrl",
-                                       "recompute_batch", idr_log_name()};
-      span.arg("prefixes", static_cast<std::int64_t>(batch.size()));
-      tel->emit(span);
-    }
   }
+  // The span covers the batching delay: opened at the first dirtying input,
+  // closed here where the recomputation pass runs.
+  emit({core::FactKind::kRecompute, idr_log_name(),
+        [&] { return std::to_string(batch.size()) + " prefixes"; },
+        {batch.size()}, batch_opened_at_});
   for (const auto& prefix : batch) recompute_prefix(prefix);
   if (decider_ != nullptr) {
     const std::uint64_t replayed =
@@ -311,20 +300,16 @@ void IdrController::recompute_prefix(const net::Prefix& prefix) {
     }
   }
 
-  auto* tel = telemetry();
-  const bool tracing = tel != nullptr && tel->tracing();
-  const auto phase = [&](const char* phase_name, std::int64_t detail) {
+  const auto prefix_text = [&] { return prefix.to_string(); };
+  const auto phase = [&](core::FactKind kind, std::size_t n) {
     // Phases of one recomputation share a virtual instant; instant spans
     // keep the taxonomy (graph_transform -> dijkstra -> flow_install)
     // visible in the trace without inventing fake durations.
-    auto span = telemetry::TraceSpan::instant(loop().now(), "ctrl", phase_name,
-                                              idr_log_name());
-    span.arg("prefix", prefix.to_string()).arg("n", detail);
-    tel->emit(span);
+    emit({kind, idr_log_name(), {}, {prefix_text, n}});
   };
 
   // Decide.
-  if (tracing) phase("graph_transform", static_cast<std::int64_t>(routes.size()));
+  phase(core::FactKind::kGraphTransform, routes.size());
   PrefixDecision decision;
   if (decider_ != nullptr) {
     decision = decider_->decide(prefix, routes, origin_switch);
@@ -336,7 +321,7 @@ void IdrController::recompute_prefix(const net::Prefix& prefix) {
     decision = topo.decide(routes, origin_switch);
   }
   idr_counters_.routes_pruned_loop += decision.pruned_routes;
-  if (tracing) phase("dijkstra", static_cast<std::int64_t>(decision.as_paths.size()));
+  phase(core::FactKind::kDijkstra, decision.as_paths.size());
 
   // Compile and diff flow rules against the installed mirror; unchanged
   // prefixes emit zero FlowMods.
@@ -371,17 +356,16 @@ void IdrController::recompute_prefix(const net::Prefix& prefix) {
     if (flow_observer_) flow_observer_(prefix, dpid, nullptr);
   }
   if (installed.empty()) installed_.erase(prefix);
-  if (tel != nullptr) {
-    const auto adds =
-        static_cast<std::int64_t>(idr_counters_.flow_adds - adds_before);
-    const auto dels =
-        static_cast<std::int64_t>(idr_counters_.flow_deletes - deletes_before);
+  const auto adds =
+      static_cast<std::int64_t>(idr_counters_.flow_adds - adds_before);
+  const auto dels =
+      static_cast<std::int64_t>(idr_counters_.flow_deletes - deletes_before);
+  if (auto* tel = telemetry()) {
     auto& metrics = tel->metrics();
-    metrics.counter("ctrl.idr.prefix_recomputes").inc();
     if (adds > 0) metrics.counter("ctrl.idr.flow_adds").inc(adds);
     if (dels > 0) metrics.counter("ctrl.idr.flow_deletes").inc(dels);
-    if (tracing) phase("flow_install", adds + dels);
   }
+  phase(core::FactKind::kFlowInstall, static_cast<std::size_t>(adds + dels));
 
   // Compose announcements to every legacy peering. The AS path starts with
   // the border switch's own AS and is the exact AS-level route traffic will

@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "controller/idr_controller.hpp"
+#include "core/fact.hpp"
 #include "core/random.hpp"
 #include "core/time.hpp"
 #include "speaker/cluster_speaker.hpp"
@@ -249,8 +250,7 @@ class ControllerReplicaSet : public speaker::SpeakerListener {
   void on_all_down();
   void recover_from_degraded(std::size_t id);
   void rebind_controller();
-  void count(const char* name);
-  void log(const char* event, const std::string& detail) const;
+  void emit(core::FactKind kind, core::LogDetail detail) const;
 
   core::EventLoop& loop_;
   core::Logger& logger_;

@@ -3,7 +3,7 @@
 #include "bgp/policy.hpp"
 #include "controller/route_compiler.hpp"
 #include "core/event_loop.hpp"
-#include "core/logger.hpp"
+#include "core/fact.hpp"
 #include "net/address_allocator.hpp"
 #include "telemetry/trace.hpp"
 
@@ -346,21 +346,19 @@ void RouteFlowController::sync_flows() {
       it = it->second.empty() ? installed_.erase(it) : std::next(it);
     }
   }
+  const auto adds =
+      static_cast<std::int64_t>(rf_counters_.flow_adds - adds_before);
+  const auto dels =
+      static_cast<std::int64_t>(rf_counters_.flow_deletes - deletes_before);
   if (auto* tel = telemetry()) {
-    const auto adds =
-        static_cast<std::int64_t>(rf_counters_.flow_adds - adds_before);
-    const auto dels =
-        static_cast<std::int64_t>(rf_counters_.flow_deletes - deletes_before);
     auto& metrics = tel->metrics();
     metrics.counter("ctrl.routeflow.sync_passes").inc();
     if (adds > 0) metrics.counter("ctrl.routeflow.flow_adds").inc(adds);
     if (dels > 0) metrics.counter("ctrl.routeflow.flow_deletes").inc(dels);
-    if (tel->tracing() && (adds > 0 || dels > 0)) {
-      auto span = telemetry::TraceSpan::instant(loop().now(), "ctrl", "rf_sync",
-                                                "rf." + name());
-      span.arg("adds", adds).arg("dels", dels);
-      tel->emit(span);
-    }
+  }
+  if (adds > 0 || dels > 0) {
+    emit({core::FactKind::kRfSync, component_name(rf_log_name_, "rf."), {},
+          {adds, dels}});
   }
 }
 

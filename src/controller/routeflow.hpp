@@ -158,6 +158,7 @@ class RouteFlowController : public ClusterController {
   std::map<sdn::Dpid, std::uint64_t> synced_generation_;
   RouteFlowCounters rf_counters_;
   bool finalized_{false};
+  mutable std::string rf_log_name_;
 };
 
 }  // namespace bgpsdn::controller

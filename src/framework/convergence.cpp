@@ -9,20 +9,11 @@ namespace bgpsdn::framework {
 ConvergenceDetector::ConvergenceDetector(core::EventLoop& loop,
                                          core::Logger& logger)
     : loop_{loop}, logger_{logger} {
-  events_ = {
-      "update_tx",        "update_rx",     "best_changed", "best_lost",
-      "origin_announce",  "origin_withdraw",
-      "speaker_announce", "speaker_withdraw", "speaker_rx",
-      "flow_mod",         "flow_mod_tx",   "collector_rx",
-      "session_up",       "session_down",
-  };
-  sink_id_ = logger_.add_sink(
-      [this](const core::LogRecord& rec) {
-        if (events_.count(rec.event) == 0) return;
-        last_activity_ = rec.when;
-        ++activity_count_;
-      },
-      core::SinkReads::kTagsOnly);
+  sink_id_ = logger_.add_sink([this](const core::FactView& view) {
+    if (!core::fact_row(view.fact.kind).activity) return;
+    last_activity_ = view.when;
+    ++activity_count_;
+  });
   last_activity_ = loop_.now();
 }
 

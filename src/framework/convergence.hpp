@@ -4,12 +4,10 @@
 // Convergence is control-plane quiescence: no routing activity (BGP update
 // transmissions, best-path changes, controller recomputation output, flow
 // programming, speaker announcements) for a configurable quiet period.
-// Keepalives and other liveness chatter do not count. The detector attaches
-// as a Logger sink, so it observes exactly what the components emit.
+// Keepalives and other liveness chatter do not count. What counts is the
+// fact table's activity column (core/fact.hpp); the detector attaches as a
+// Logger sink, so it observes exactly the facts the components emit.
 #pragma once
-
-#include <set>
-#include <string>
 
 #include "core/event_loop.hpp"
 #include "core/logger.hpp"
@@ -18,10 +16,16 @@
 
 namespace bgpsdn::framework {
 
+/// The quiet window a convergence wait uses when the caller names none:
+/// two MRAI rounds plus one second.
+inline core::Duration default_quiet_window(core::Duration mrai) {
+  return mrai * 2 + core::Duration::seconds(1);
+}
+
 /// Options for Experiment::wait_converged / ConvergenceDetector::wait.
 struct WaitOpts {
   /// Quiet window that defines convergence. zero() = caller's default
-  /// (Experiment substitutes 2x MRAI + 1 s).
+  /// (Experiment substitutes default_quiet_window).
   core::Duration quiet{core::Duration::zero()};
   /// Virtual-time budget for the whole wait.
   core::Duration timeout{core::Duration::seconds(3600)};
@@ -54,12 +58,6 @@ class ConvergenceDetector : public Monitor {
   /// {activity_count, last_activity_ns, timed_out}
   telemetry::Json snapshot() const override;
 
-  /// The events that count as routing activity. Defaults cover BGP, the
-  /// controller and the speaker.
-  void set_activity_events(std::set<std::string> events) {
-    events_ = std::move(events);
-  }
-
   /// Timestamp of the most recent routing activity (origin if none yet).
   core::TimePoint last_activity() const { return last_activity_; }
   std::uint64_t activity_count() const { return activity_count_; }
@@ -89,7 +87,6 @@ class ConvergenceDetector : public Monitor {
   core::EventLoop& loop_;
   core::Logger& logger_;
   std::size_t sink_id_;
-  std::set<std::string> events_;
   core::TimePoint last_activity_{};
   std::uint64_t activity_count_{0};
   bool timed_out_{false};

@@ -30,7 +30,7 @@ Experiment::Experiment(const topology::TopologySpec& spec,
                                   " not in topology"};
     }
   }
-  log_.set_min_level(config_.log_level);
+  log_.set_min_level(core::LogLevel::kDebug);  // filters text, not sinks
   log_.set_retain(config_.retain_logs);
   build();
   detector_ = &attach_monitor<ConvergenceDetector>();
@@ -373,9 +373,8 @@ void Experiment::crash_controller() {
 void Experiment::degrade_to_fallback(std::uint32_t epoch) {
   if (controller_crashed_) return;
   controller_crashed_ = true;
-  log_.log(loop_.now(), core::LogLevel::kWarn, "experiment", "controller_crash",
-           "cluster degrades to distributed BGP");
-  net_.telemetry().metrics().counter("framework.controller_crashes").inc();
+  net_.emit({core::FactKind::kExpControllerCrash, "experiment",
+             "cluster degrades to distributed BGP"});
   controller_->crash();
   // The dead process's channels go with it; switches observe the link loss,
   // flush controller-installed rules, and enter standalone mode.
@@ -403,9 +402,8 @@ void Experiment::restart_controller() {
 void Experiment::recover_from_fallback(std::uint32_t epoch) {
   if (!controller_crashed_) return;
   controller_crashed_ = false;
-  log_.log(loop_.now(), core::LogLevel::kInfo, "experiment",
-           "controller_restart", "controller resyncs from speaker RIBs");
-  net_.telemetry().metrics().counter("framework.controller_restarts").inc();
+  net_.emit({core::FactKind::kExpControllerRestart, "experiment",
+             "controller resyncs from speaker RIBs"});
   fallback_->deactivate();
   controller_->restart();
   controller_->bind_speaker(*speaker_);
@@ -475,17 +473,15 @@ void Experiment::crash_speaker() {
     throw std::logic_error{"no cluster speaker in this experiment"};
   }
   if (speaker_->crashed()) return;
-  log_.log(loop_.now(), core::LogLevel::kWarn, "experiment", "speaker_crash",
-           "external sessions drop silently");
-  net_.telemetry().metrics().counter("framework.speaker_crashes").inc();
+  net_.emit({core::FactKind::kExpSpeakerCrash, "experiment",
+             "external sessions drop silently"});
   speaker_->crash();
 }
 
 void Experiment::restart_speaker() {
   if (speaker_ == nullptr || !speaker_->crashed()) return;
-  log_.log(loop_.now(), core::LogLevel::kInfo, "experiment", "speaker_restart",
-           "external sessions re-establish");
-  net_.telemetry().metrics().counter("framework.speaker_restarts").inc();
+  net_.emit({core::FactKind::kExpSpeakerRestart, "experiment",
+             "external sessions re-establish"});
   speaker_->restart();
 }
 
@@ -505,7 +501,7 @@ void Experiment::add_link(core::AsNumber a, core::AsNumber b,
 ConvergenceResult Experiment::wait_converged(const WaitOpts& opts) {
   WaitOpts effective = opts;
   if (effective.quiet == core::Duration::zero()) {
-    effective.quiet = config_.timers.mrai * 2 + core::Duration::seconds(1);
+    effective.quiet = default_quiet_window(config_.timers.mrai);
   }
   net_.telemetry().metrics().counter("framework.wait_converged.runs").inc();
   const ConvergenceResult result = detector_->wait(effective);

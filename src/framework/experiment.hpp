@@ -77,11 +77,6 @@ struct ExperimentConfig {
   controller::ReplicaSetConfig ha{};
   /// Whether to attach the monitoring route collector to legacy routers.
   bool with_collector{true};
-  /// Lowest level the logger passes on. The convergence detector counts
-  /// kDebug update_tx/update_rx records, so it needs kDebug. Records at this
-  /// level still cost no text unless something reads it: retention, echo or
-  /// a text sink.
-  core::LogLevel log_level{core::LogLevel::kDebug};
   /// Retain log records in memory (off for long sweeps).
   bool retain_logs{false};
 };

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "framework/convergence.hpp"
 #include "topology/datasets.hpp"
 #include "topology/generators.hpp"
 
@@ -259,7 +260,7 @@ core::TimePoint ExperimentSpec::inject_event(Experiment& experiment) const {
 
 core::Duration ExperimentSpec::effective_quiet() const {
   if (wait_quiet > core::Duration::zero()) return wait_quiet;
-  return config.timers.mrai * 2 + core::Duration::seconds(1);
+  return default_quiet_window(config.timers.mrai);
 }
 
 double ExperimentSpec::run_trial(
@@ -669,6 +670,15 @@ std::uint64_t parse_count(const std::string& token, std::string_view what) {
   }
   bad(std::string{what} + " needs a non-negative integer, got '" + token +
       "'");
+}
+
+core::AsNumber parse_as_number(const std::string& token,
+                               std::string_view what) {
+  const std::uint64_t v = parse_count(token, what);
+  if (v > 0xFFFFFFFFu) {
+    bad(std::string{what} + " must be in [0, 4294967295], got " + token);
+  }
+  return core::AsNumber{static_cast<std::uint32_t>(v)};
 }
 
 double parse_number(const std::string& token, std::string_view what) {

@@ -250,6 +250,9 @@ std::string knob_help(unsigned scope);
 /// The count grammar: a non-negative integer, else std::invalid_argument
 /// "<what> needs a non-negative integer, got '<token>'".
 std::uint64_t parse_count(const std::string& token, std::string_view what);
+/// The AS grammar: a count that fits an AS number, else
+/// std::invalid_argument naming `what`.
+core::AsNumber parse_as_number(const std::string& token, std::string_view what);
 /// The number grammar: a finite decimal, else std::invalid_argument
 /// "<what> needs a number, got '<token>'".
 double parse_number(const std::string& token, std::string_view what);

@@ -9,7 +9,6 @@
 
 #include "framework/experiment.hpp"
 #include "net/network.hpp"
-#include "telemetry/trace.hpp"
 
 namespace bgpsdn::framework {
 
@@ -393,27 +392,20 @@ void FaultInjector::arm(std::vector<Action> actions) {
 
 void FaultInjector::fire(const Action& action) {
   ++fired_;
-  ++fired_by_kind_[to_string(action.kind)];
-  auto& tel = experiment_.telemetry();
-  tel.metrics().counter("faults.injected").inc();
-  tel.metrics()
-      .counter(std::string{"faults."} + to_string(action.kind))
-      .inc();
-  if (tel.tracing()) {
-    auto span = telemetry::TraceSpan::instant(experiment_.loop().now(),
-                                              "faults", to_string(action.kind),
-                                              "fault-injector");
-    if (action.link.is_valid()) {
-      span.arg("a", static_cast<std::int64_t>(action.a.value()));
-      span.arg("b", static_cast<std::int64_t>(action.b.value()));
-    }
-    if (action.kind == FaultKind::kLinkLoss ||
-        action.kind == FaultKind::kLossRamp ||
-        action.kind == FaultKind::kCorrupt) {
-      span.arg("p", action.value);
-    }
-    tel.emit(span);
-  }
+  const char* kind = to_string(action.kind);
+  ++fired_by_kind_[kind];
+  // The fact's row counts every fault; this counts the kind it names.
+  experiment_.telemetry().metrics().counter(std::string{"faults."} + kind).inc();
+  const bool on_link = action.link.is_valid();
+  const bool has_p = action.kind == FaultKind::kLinkLoss ||
+                     action.kind == FaultKind::kLossRamp ||
+                     action.kind == FaultKind::kCorrupt;
+  experiment_.network().emit(
+      {core::FactKind::kFault, "fault-injector", {},
+       {on_link ? core::FactArg{action.a.value()} : core::FactArg{},
+        on_link ? core::FactArg{action.b.value()} : core::FactArg{},
+        has_p ? core::FactArg{action.value} : core::FactArg{}},
+       {}, kind});
   apply(action);
 }
 

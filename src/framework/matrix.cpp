@@ -119,11 +119,10 @@ MatrixSpec MatrixSpec::parse(std::istream& in) {
         matrix.axes.push_back(std::move(axis));
       } else if (cmd == "announce") {
         need(2);
-        const std::size_t as = parse_count(t[1], "announce AS");
+        const core::AsNumber as = parse_as_number(t[1], "announce AS");
         const auto prefix = net::Prefix::parse(t[2]);
         if (!prefix) fail("bad prefix '" + t[2] + "'");
-        matrix.base.announcements.emplace_back(
-            core::AsNumber{static_cast<std::uint32_t>(as)}, *prefix);
+        matrix.base.announcements.emplace_back(as, *prefix);
       } else if (cmd == "fault-seed") {
         need(1);
         matrix.base.faults.seed = parse_count(t[1], "fault-seed");

@@ -7,13 +7,12 @@
 namespace bgpsdn::framework {
 
 RouteChangeTracker::RouteChangeTracker(core::Logger& logger) : logger_{logger} {
-  sink_id_ = logger_.add_sink([this](const core::LogRecord& rec) {
-    if (rec.event == "best_changed") {
-      changes_.push_back({rec.when, rec.component, rec.detail, false});
-    } else if (rec.event == "best_lost") {
-      changes_.push_back({rec.when, rec.component, rec.detail, true});
-    }
-  }, core::SinkReads::kText);
+  sink_id_ = logger_.add_sink([this](const core::FactView& view) {
+    const bool lost = view.fact.kind == core::FactKind::kBestLost;
+    if (!lost && view.fact.kind != core::FactKind::kBestChanged) return;
+    changes_.push_back(
+        {view.when, std::string{view.fact.component}, view.detail(), lost});
+  });
 }
 
 RouteChangeTracker::RouteChangeTracker(Experiment& experiment)
@@ -58,16 +57,18 @@ std::string RouteChangeTracker::timeline() const {
 UpdateRateMonitor::UpdateRateMonitor(core::Logger& logger,
                                      core::Duration bucket_width)
     : logger_{logger}, width_{bucket_width} {
-  sink_id_ = logger_.add_sink([this](const core::LogRecord& rec) {
-    if (rec.event != "update_tx" && rec.event != "speaker_announce" &&
-        rec.event != "speaker_withdraw") {
+  sink_id_ = logger_.add_sink([this](const core::FactView& view) {
+    const core::FactKind kind = view.fact.kind;
+    if (kind != core::FactKind::kUpdateTx &&
+        kind != core::FactKind::kSpeakerAnnounce &&
+        kind != core::FactKind::kSpeakerWithdraw) {
       return;
     }
-    const auto bucket = static_cast<std::uint64_t>(rec.when.nanos_since_origin() /
-                                                   width_.count_nanos());
+    const auto bucket = static_cast<std::uint64_t>(
+        view.when.nanos_since_origin() / width_.count_nanos());
     ++buckets_[bucket];
     ++total_;
-  }, core::SinkReads::kTagsOnly);
+  });
 }
 
 UpdateRateMonitor::UpdateRateMonitor(Experiment& experiment,

@@ -40,15 +40,11 @@ void ScenarioRunner::fail(const Line& line, const std::string& message) const {
 
 core::AsNumber ScenarioRunner::parse_as(const Line& line,
                                         const std::string& token) const {
-  unsigned long v = 0;
   try {
-    std::size_t pos = 0;
-    v = std::stoul(token, &pos);
-    if (pos != token.size()) throw std::invalid_argument{""};
-  } catch (...) {
-    fail(line, "bad AS number '" + token + "'");
+    return parse_as_number(token, "AS number");
+  } catch (const std::invalid_argument& e) {
+    fail(line, e.what());
   }
-  return core::AsNumber{static_cast<std::uint32_t>(v)};
 }
 
 net::Prefix ScenarioRunner::parse_prefix(const Line& line,
@@ -207,7 +203,7 @@ void ScenarioRunner::execute(const Line& line, ScenarioResult& result) {
   } else if (cmd == "fault-seed") {
     need(1);
     forbid_after_start();
-    fault_plan_.seed = static_cast<std::uint64_t>(parse_number(line, t[1]));
+    fault_plan_.seed = parse_count(t[1], "fault-seed");
   } else if (cmd == "fault") {
     if (t.size() < 3) fail(line, "usage: fault <seconds> <event...>");
     const auto at = core::Duration::seconds_f(parse_number(line, t[1]));

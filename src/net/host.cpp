@@ -1,6 +1,5 @@
 #include "net/host.hpp"
 
-#include "core/logger.hpp"
 #include "net/network.hpp"
 
 namespace bgpsdn::net {

@@ -1,5 +1,7 @@
 #include "net/network.hpp"
 
+#include "telemetry/trace.hpp"
+
 #include <cmath>
 #include <stdexcept>
 
@@ -63,6 +65,12 @@ core::SessionId Node::allocate_session_id() {
   return detached_session_ids_.allocate();
 }
 
+void Node::emit(const core::Fact& fact) const { network().emit(fact); }
+
+void Network::emit(const core::Fact& fact) {
+  telemetry::emit(logger_, &telemetry_, loop_.now(), fact);
+}
+
 void Node::send(core::PortId port, Packet packet) const {
   network().send(id_, port, std::move(packet));
 }
@@ -99,8 +107,8 @@ void Network::send(core::NodeId from, core::PortId port, Packet packet) {
   }
   if (packet.ttl == 0) {
     ++stats_.dropped_ttl;
-    logger_.log(loop_.now(), core::LogLevel::kDebug, node(from).name(),
-                "ttl_expired", [&] { return packet.to_string(); });
+    emit({core::FactKind::kTtlExpired, node(from).name(),
+          [&] { return packet.to_string(); }});
     return;
   }
   if (link.params.loss > 0.0 && rng_.chance(link.params.loss)) {
@@ -166,11 +174,9 @@ void Network::set_link_up(core::LinkId id, bool up) {
   Link& link = links_.at(id.value());
   if (link.up == up) return;
   link.up = up;
-  logger_.log(loop_.now(), core::LogLevel::kInfo, "net", up ? "link_up" : "link_down",
-              [&] {
-                return node(link.a.node).name() + " <-> " +
-                       node(link.b.node).name();
-              });
+  emit({up ? core::FactKind::kLinkUp : core::FactKind::kLinkDown, "net", [&] {
+          return node(link.a.node).name() + " <-> " + node(link.b.node).name();
+        }});
   nodes_[link.a.node.value()]->on_link_state(link.a.port, up);
   nodes_[link.b.node.value()]->on_link_state(link.b.port, up);
 }

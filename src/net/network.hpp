@@ -145,6 +145,9 @@ class Network {
   telemetry::Telemetry& telemetry() { return telemetry_; }
   const telemetry::Telemetry& telemetry() const { return telemetry_; }
 
+  /// Emit one fact now to this network's Logger and telemetry.
+  void emit(const core::Fact& fact);
+
  private:
   void register_node(std::unique_ptr<Node> node, std::string name);
   void deliver(core::LinkId link_id, int direction, const Packet& packet);

@@ -14,6 +14,7 @@
 
 namespace bgpsdn::core {
 class EventLoop;
+struct Fact;
 class Logger;
 class Rng;
 }  // namespace bgpsdn::core
@@ -89,6 +90,9 @@ class Node {
     }
     return cache;
   }
+
+  /// Emit one fact now, through the owning network (telemetry/trace.hpp).
+  void emit(const core::Fact& fact) const;
 
   /// Convenience: transmit out of a local port.
   void send(core::PortId port, Packet packet) const;

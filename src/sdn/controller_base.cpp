@@ -1,7 +1,7 @@
 #include "sdn/controller_base.hpp"
 
 #include "core/event_loop.hpp"
-#include "core/logger.hpp"
+#include "core/fact.hpp"
 #include "net/network.hpp"
 
 namespace bgpsdn::sdn {
@@ -10,14 +10,14 @@ void ControllerBase::base_crash() {
   crashed_ = true;
   switches_.clear();
   dpid_by_port_.clear();
-  logger().log(loop().now(), core::LogLevel::kWarn, log_name(), "crash",
-               "controller process down");
+  emit({core::FactKind::kControllerCrash, log_name(),
+        "controller process down"});
 }
 
 void ControllerBase::base_restart() {
   crashed_ = false;
-  logger().log(loop().now(), core::LogLevel::kInfo, log_name(), "restart",
-               "controller process up, awaiting switch handshakes");
+  emit({core::FactKind::kRestart, log_name(),
+        "controller process up, awaiting switch handshakes"});
 }
 
 void ControllerBase::handle_packet(core::PortId ingress, const net::Packet& packet) {
@@ -25,8 +25,7 @@ void ControllerBase::handle_packet(core::PortId ingress, const net::Packet& pack
   if (packet.proto != net::Protocol::kOfControl) return;
   const auto msg = decode(packet.payload);
   if (!msg) {
-    logger().log(loop().now(), core::LogLevel::kWarn, log_name(),
-                 "of_decode_error", "");
+    emit({core::FactKind::kOfDecodeError, log_name()});
     return;
   }
 
@@ -41,9 +40,8 @@ void ControllerBase::handle_packet(core::PortId ingress, const net::Packet& pack
     dpid_by_port_[ingress.value()] = hello.dpid;
     // Greet back (completes the handshake; the switch ignores the content).
     send_to(hello.dpid, OfHello{0, 0});
-    logger().log(loop().now(), core::LogLevel::kInfo, log_name(),
-                 "switch_connected",
-                 [&] { return "dpid " + std::to_string(hello.dpid); });
+    emit({core::FactKind::kSwitchConnected, log_name(),
+          [&] { return "dpid " + std::to_string(hello.dpid); }});
     on_switch_connected(switches_[hello.dpid]);
     return;
   }
@@ -59,13 +57,12 @@ void ControllerBase::handle_packet(core::PortId ingress, const net::Packet& pack
       break;
     case OfType::kPortStatus:
       ++counters_.port_status;
-      logger().log(loop().now(), core::LogLevel::kInfo, log_name(),
-                   "port_status", [&] {
-                     const auto& status = std::get<OfPortStatus>(*msg);
-                     return "dpid " + std::to_string(ch.dpid) + " port " +
-                            std::to_string(status.port.value()) +
-                            (status.up ? " up" : " down");
-                   });
+      emit({core::FactKind::kPortStatus, log_name(), [&] {
+              const auto& status = std::get<OfPortStatus>(*msg);
+              return "dpid " + std::to_string(ch.dpid) + " port " +
+                     std::to_string(status.port.value()) +
+                     (status.up ? " up" : " down");
+            }});
       on_port_status(ch, std::get<OfPortStatus>(*msg));
       break;
     case OfType::kEcho: {
@@ -90,12 +87,10 @@ void ControllerBase::send_to(Dpid dpid, const OfMessage& message) {
 
 void ControllerBase::send_flow_mod(Dpid dpid, const OfFlowMod& mod) {
   ++counters_.flow_mods_sent;
-  logger().log(loop().now(), core::LogLevel::kDebug, log_name(), "flow_mod_tx",
-               [&] {
-                 return "dpid " + std::to_string(dpid) + " " +
-                        mod.match.to_string() + " -> " +
-                        mod.action.to_string();
-               });
+  emit({core::FactKind::kFlowModTx, log_name(), [&] {
+          return "dpid " + std::to_string(dpid) + " " + mod.match.to_string() +
+                 " -> " + mod.action.to_string();
+        }});
   send_to(dpid, mod);
 }
 

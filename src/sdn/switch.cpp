@@ -1,7 +1,7 @@
 #include "sdn/switch.hpp"
 
 #include "core/event_loop.hpp"
-#include "core/logger.hpp"
+#include "core/fact.hpp"
 #include "net/network.hpp"
 #include "telemetry/trace.hpp"
 
@@ -67,8 +67,7 @@ void SdnSwitch::handle_packet(core::PortId ingress, const net::Packet& packet) {
 void SdnSwitch::handle_control(const net::Packet& packet) {
   const auto msg = decode(packet.payload);
   if (!msg) {
-    logger().log(loop().now(), core::LogLevel::kWarn, log_name(),
-                 "of_decode_error", "");
+    emit({core::FactKind::kOfDecodeError, log_name()});
     return;
   }
   switch (type_of(*msg)) {
@@ -78,14 +77,10 @@ void SdnSwitch::handle_control(const net::Packet& packet) {
         // A deposed leader's in-flight programming: the cluster has moved
         // to a higher epoch, so this mod would reintroduce stale state.
         ++counters_.stale_flowmods_rejected;
-        logger().log(loop().now(), core::LogLevel::kWarn, log_name(),
-                     "stale_flow_mod", [&] {
-                       return "epoch " + std::to_string(fm.epoch) + " < " +
-                              std::to_string(max_epoch_seen_);
-                     });
-        if (auto* tel = telemetry()) {
-          tel->metrics().counter("sdn.switch.stale_flowmods_rejected").inc();
-        }
+        emit({core::FactKind::kStaleFlowMod, log_name(), [&] {
+                return "epoch " + std::to_string(fm.epoch) + " < " +
+                       std::to_string(max_epoch_seen_);
+              }});
         break;
       }
       max_epoch_seen_ = fm.epoch;
@@ -99,26 +94,16 @@ void SdnSwitch::handle_control(const net::Packet& packet) {
       } else {
         table_.remove(fm.match, fm.priority);
       }
-      logger().log(loop().now(), core::LogLevel::kDebug, log_name(),
-                   "flow_mod", [&] {
-                     return (fm.command == FlowModCommand::kAdd ? "add "
-                                                                : "del ") +
-                            fm.match.to_string();
-                   });
+      const char* op = fm.command == FlowModCommand::kAdd ? "add" : "del";
+      const auto match_text = [&] { return fm.match.to_string(); };
       if (auto* tel = telemetry()) {
-        tel->metrics().counter("sdn.switch.flow_mods").inc();
         tel->metrics()
             .histogram("sdn.switch.table_size")
             .record(static_cast<std::int64_t>(table_.size()));
-        if (tel->tracing()) {
-          auto span = telemetry::TraceSpan::instant(loop().now(), "sdn",
-                                                    "flow_mod", log_name());
-          span.arg("op", fm.command == FlowModCommand::kAdd ? "add" : "del")
-              .arg("match", fm.match.to_string())
-              .arg("table_size", static_cast<std::int64_t>(table_.size()));
-          tel->emit(span);
-        }
       }
+      emit({core::FactKind::kFlowMod, log_name(),
+            [&] { return std::string{op} + " " + match_text(); },
+            {op, match_text, table_.size()}});
       break;
     }
     case OfType::kPacketOut: {
@@ -154,12 +139,12 @@ void SdnSwitch::on_link_state(core::PortId port, bool up) {
   send_to_controller(status);
 }
 
-void SdnSwitch::flush_data_rules(const char* why) {
+void SdnSwitch::flush_data_rules(core::FactKind why) {
   const auto flushed = table_.remove_below_priority(kRelayRulePriority);
   counters_.standalone_flushed += flushed;
-  logger().log(loop().now(), core::LogLevel::kInfo, log_name(), why, [&] {
-    return "flushed " + std::to_string(flushed) + " data rules";
-  });
+  emit({why, log_name(),
+        [&] { return "flushed " + std::to_string(flushed) + " data rules"; },
+        {why == core::FactKind::kStandaloneExit}});
 }
 
 void SdnSwitch::enter_standalone() {
@@ -169,16 +154,7 @@ void SdnSwitch::enter_standalone() {
   // Fail-secure: the dead controller cannot retract stale routes, so drop
   // every data rule. Relay rules survive — the cluster speaker keeps its
   // external BGP sessions and becomes the degraded control path.
-  flush_data_rules("standalone_enter");
-  if (auto* tel = telemetry()) {
-    tel->metrics().counter("sdn.switch.standalone_entries").inc();
-    if (tel->tracing()) {
-      auto span = telemetry::TraceSpan::instant(loop().now(), "sdn",
-                                                "standalone", log_name());
-      span.arg("up", false);
-      tel->emit(span);
-    }
-  }
+  flush_data_rules(core::FactKind::kStandaloneEnter);
 }
 
 void SdnSwitch::exit_standalone() {
@@ -186,15 +162,7 @@ void SdnSwitch::exit_standalone() {
   standalone_ = false;
   // Rules installed over the degraded path are stale the moment a live
   // controller is back; flush again and re-handshake so it can repush.
-  flush_data_rules("standalone_exit");
-  if (auto* tel = telemetry()) {
-    if (tel->tracing()) {
-      auto span = telemetry::TraceSpan::instant(loop().now(), "sdn",
-                                                "standalone", log_name());
-      span.arg("up", true);
-      tel->emit(span);
-    }
-  }
+  flush_data_rules(core::FactKind::kStandaloneExit);
   start();
   // Any cluster link that changed while the channel was down never produced
   // a PortStatus (there was nobody to send it to). Replay the current state

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <optional>
 
+#include "core/fact.hpp"
 #include "core/ids.hpp"
 #include "net/node.hpp"
 #include "sdn/flow.hpp"
@@ -70,7 +71,7 @@ class SdnSwitch : public net::Node {
   void send_to_controller(const OfMessage& message);
   void enter_standalone();
   void exit_standalone();
-  void flush_data_rules(const char* why);
+  void flush_data_rules(core::FactKind why);
   void resend_port_states();
   const std::string& log_name() const {
     return component_name(log_name_, "sw.");

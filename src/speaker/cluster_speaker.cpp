@@ -2,9 +2,8 @@
 
 #include "bgp/router.hpp"
 #include "core/event_loop.hpp"
-#include "core/logger.hpp"
+#include "core/fact.hpp"
 #include "net/network.hpp"
-#include "telemetry/trace.hpp"
 
 namespace bgpsdn::speaker {
 
@@ -48,20 +47,9 @@ void ClusterBgpSpeaker::announce(PeeringId id, const net::Prefix& prefix,
   m.attributes = attrs;
   m.nlri.push_back(prefix);
   ++counters_.announces_tx;
-  logger().log(loop().now(), core::LogLevel::kDebug, session_log_name(),
-               "speaker_announce", [&] {
-                 return "peering " + std::to_string(id) + " " + m.to_string();
-               });
-  if (auto* tel = telemetry()) {
-    tel->metrics().counter("speaker.announces_tx").inc();
-    if (tel->tracing()) {
-      auto span = telemetry::TraceSpan::instant(loop().now(), "speaker",
-                                                "announce", session_log_name());
-      span.arg("peering", static_cast<std::int64_t>(id))
-          .arg("prefix", prefix.to_string());
-      tel->emit(span);
-    }
-  }
+  emit({core::FactKind::kSpeakerAnnounce, session_log_name(),
+        [&] { return "peering " + std::to_string(id) + " " + m.to_string(); },
+        {id, [&] { return prefix.to_string(); }}});
   slot.session->send_update(m);
 }
 
@@ -73,21 +61,10 @@ void ClusterBgpSpeaker::withdraw(PeeringId id, const net::Prefix& prefix) {
   bgp::UpdateMessage m;
   m.withdrawn.push_back(prefix);
   ++counters_.withdraws_tx;
-  logger().log(loop().now(), core::LogLevel::kDebug, session_log_name(),
-               "speaker_withdraw", [&] {
-                 return "peering " + std::to_string(id) + " " +
-                        prefix.to_string();
-               });
-  if (auto* tel = telemetry()) {
-    tel->metrics().counter("speaker.withdraws_tx").inc();
-    if (tel->tracing()) {
-      auto span = telemetry::TraceSpan::instant(loop().now(), "speaker",
-                                                "withdraw", session_log_name());
-      span.arg("peering", static_cast<std::int64_t>(id))
-          .arg("prefix", prefix.to_string());
-      tel->emit(span);
-    }
-  }
+  const auto prefix_text = [&] { return prefix.to_string(); };
+  emit({core::FactKind::kSpeakerWithdraw, session_log_name(),
+        [&] { return "peering " + std::to_string(id) + " " + prefix_text(); },
+        {id, prefix_text}});
   slot.session->send_update(m);
 }
 
@@ -102,12 +79,10 @@ void ClusterBgpSpeaker::crash() {
   if (crashed_) return;
   crashed_ = true;
   ++counters_.crashes;
-  logger().log(loop().now(), core::LogLevel::kWarn, session_log_name(), "crash",
-               [&] {
-                 return "speaker process down, " +
-                        std::to_string(slots_.size()) + " sessions lost";
-               });
-  if (auto* tel = telemetry()) tel->metrics().counter("speaker.crashes").inc();
+  emit({core::FactKind::kSpeakerCrash, session_log_name(), [&] {
+          return "speaker process down, " + std::to_string(slots_.size()) +
+                 " sessions lost";
+        }});
   for (auto& slot : slots_) {
     // Process death sends nothing; external peers discover the outage when
     // their hold timers expire and then retry on their own. session_down()
@@ -121,8 +96,8 @@ void ClusterBgpSpeaker::crash() {
 void ClusterBgpSpeaker::restart() {
   if (!crashed_) return;
   crashed_ = false;
-  logger().log(loop().now(), core::LogLevel::kInfo, session_log_name(),
-               "restart", "speaker process up, reconnecting sessions");
+  emit({core::FactKind::kRestart, session_log_name(),
+        "speaker process up, reconnecting sessions"});
   for (auto& slot : slots_) slot->session->start();
 }
 
@@ -211,11 +186,10 @@ void ClusterBgpSpeaker::session_transmit(bgp::Session& session,
 
 void ClusterBgpSpeaker::session_established(bgp::Session& session) {
   Slot* slot = slot_of(session);
-  logger().log(loop().now(), core::LogLevel::kInfo, session_log_name(),
-               "session_up", [&] {
-                 return slot->info.cluster_as.to_string() + " <-> peer " +
-                        session.peer_as().to_string();
-               });
+  emit({core::FactKind::kPeerUp, session_log_name(), [&] {
+          return slot->info.cluster_as.to_string() + " <-> peer " +
+                 session.peer_as().to_string();
+        }});
   if (listener_ != nullptr) listener_->on_peer_established(slot->info);
 }
 
@@ -224,11 +198,10 @@ void ClusterBgpSpeaker::session_down(bgp::Session& session,
   Slot* slot = slot_of(session);
   slot->rib_out.clear();
   slot->rib_in.clear();
-  logger().log(loop().now(), core::LogLevel::kInfo, session_log_name(),
-               "session_down", [&] {
-                 return slot->info.cluster_as.to_string() + " <-> peer " +
-                        session.peer_as().to_string() + ": " + reason;
-               });
+  emit({core::FactKind::kPeerDown, session_log_name(), [&] {
+          return slot->info.cluster_as.to_string() + " <-> peer " +
+                 session.peer_as().to_string() + ": " + reason;
+        }});
   if (listener_ != nullptr) listener_->on_peer_down(slot->info, reason);
 }
 
@@ -241,12 +214,10 @@ void ClusterBgpSpeaker::session_update(bgp::Session& session,
     const auto attrs = attr_registry_->intern(update.attributes);
     for (const auto& prefix : update.nlri) slot->rib_in[prefix] = attrs;
   }
-  if (auto* tel = telemetry()) tel->metrics().counter("speaker.updates_rx").inc();
-  logger().log(loop().now(), core::LogLevel::kDebug, session_log_name(),
-               "speaker_rx", [&] {
-                 return "peering " + std::to_string(slot->info.id) + " " +
-                        update.to_string();
-               });
+  emit({core::FactKind::kSpeakerRx, session_log_name(), [&] {
+          return "peering " + std::to_string(slot->info.id) + " " +
+                 update.to_string();
+        }});
   if (listener_ != nullptr) listener_->on_route_update(slot->info, update);
 }
 

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "core/fact.hpp"
 #include "core/logger.hpp"
 #include "core/random.hpp"
 
@@ -104,30 +105,37 @@ TEST(Rng, ForkIsIndependent) {
   (void)child;
 }
 
+/// A fact with a component and (optionally) detail text.
+Fact fact(FactKind kind, std::string_view component, LogDetail detail = {}) {
+  return {.kind = kind, .component = component, .detail = detail};
+}
+
 TEST(Logger, RetainsRecordsInOrder) {
   Logger log;
-  log.log(TimePoint::from_nanos(10), LogLevel::kInfo, "a", "ev1", "x");
-  log.log(TimePoint::from_nanos(20), LogLevel::kInfo, "b", "ev2");
+  log.emit(TimePoint::from_nanos(10), fact(FactKind::kOriginAnnounce, "a", "x"));
+  log.emit(TimePoint::from_nanos(20), fact(FactKind::kLinkUp, "b"));
   ASSERT_EQ(log.records().size(), 2u);
-  EXPECT_EQ(log.records()[0].event, "ev1");
+  EXPECT_EQ(log.records()[0].kind, FactKind::kOriginAnnounce);
+  EXPECT_STREQ(log.records()[0].tag(), "origin_announce");
+  EXPECT_EQ(log.records()[0].detail, "x");
   EXPECT_EQ(log.records()[1].component, "b");
 }
 
 TEST(Logger, MinLevelFilters) {
   Logger log;
   log.set_min_level(LogLevel::kWarn);
-  log.log(TimePoint::origin(), LogLevel::kDebug, "a", "dropped");
-  log.log(TimePoint::origin(), LogLevel::kError, "a", "kept");
+  log.emit(TimePoint::origin(), fact(FactKind::kUpdateTx, "a"));      // debug
+  log.emit(TimePoint::origin(), fact(FactKind::kStaleFlowMod, "a"));  // warn
   ASSERT_EQ(log.records().size(), 1u);
-  EXPECT_EQ(log.records()[0].event, "kept");
+  EXPECT_EQ(log.records()[0].kind, FactKind::kStaleFlowMod);
 }
 
 TEST(Logger, SinksFireEvenWithoutRetention) {
   Logger log;
   log.set_retain(false);
   int count = 0;
-  log.add_sink([&](const LogRecord&) { ++count; }, SinkReads::kText);
-  log.log(TimePoint::origin(), LogLevel::kInfo, "a", "ev");
+  log.add_sink([&](const FactView&) { ++count; });
+  log.emit(TimePoint::origin(), fact(FactKind::kLinkUp, "a"));
   EXPECT_EQ(count, 1);
   EXPECT_TRUE(log.records().empty());
 }
@@ -135,76 +143,73 @@ TEST(Logger, SinksFireEvenWithoutRetention) {
 TEST(Logger, RemoveSinkStopsDelivery) {
   Logger log;
   int count = 0;
-  const auto id =
-      log.add_sink([&](const LogRecord&) { ++count; }, SinkReads::kText);
-  log.log(TimePoint::origin(), LogLevel::kInfo, "a", "ev");
+  const auto id = log.add_sink([&](const FactView&) { ++count; });
+  log.emit(TimePoint::origin(), fact(FactKind::kLinkUp, "a"));
   log.remove_sink(id);
-  log.log(TimePoint::origin(), LogLevel::kInfo, "a", "ev");
+  log.emit(TimePoint::origin(), fact(FactKind::kLinkUp, "a"));
   EXPECT_EQ(count, 1);
-}
-
-TEST(Logger, FilterByEventAndComponentPrefix) {
-  Logger log;
-  log.log(TimePoint::origin(), LogLevel::kInfo, "bgp.AS1", "update_tx");
-  log.log(TimePoint::origin(), LogLevel::kInfo, "bgp.AS2", "update_tx");
-  log.log(TimePoint::origin(), LogLevel::kInfo, "bgp.AS1", "update_rx");
-  EXPECT_EQ(log.filter("update_tx").size(), 2u);
-  EXPECT_EQ(log.filter("update_tx", "bgp.AS1").size(), 1u);
-  EXPECT_EQ(log.count("update_rx"), 1u);
-  EXPECT_EQ(log.count("nothing"), 0u);
 }
 
 TEST(Logger, EchoStream) {
   Logger log;
   std::ostringstream os;
   log.set_echo(&os);
-  log.log(TimePoint::from_nanos(1'500'000'000), LogLevel::kWarn, "net",
-          "link_down", "AS1 <-> AS2");
-  EXPECT_NE(os.str().find("[WARN] net link_down: AS1 <-> AS2"),
+  log.emit(TimePoint::from_nanos(1'500'000'000),
+           fact(FactKind::kLinkDown, "net", "AS1 <-> AS2"));
+  EXPECT_NE(os.str().find("[INFO] net link_down: AS1 <-> AS2"),
             std::string::npos);
 }
 
 TEST(LogRecord, ToStringFormat) {
-  LogRecord rec{TimePoint::origin(), LogLevel::kInfo, "comp", "ev", "detail"};
-  EXPECT_EQ(rec.to_string(), "0.000000s [INFO] comp ev: detail");
-  LogRecord bare{TimePoint::origin(), LogLevel::kError, "c", "e", ""};
-  EXPECT_EQ(bare.to_string(), "0.000000s [ERROR] c e");
+  LogRecord rec{TimePoint::origin(), FactKind::kLinkUp, "comp", "detail"};
+  EXPECT_EQ(rec.to_string(), "0.000000s [INFO] comp link_up: detail");
+  LogRecord bare{TimePoint::origin(), FactKind::kOfDecodeError, "c", ""};
+  EXPECT_EQ(bare.to_string(), "0.000000s [WARN] c of_decode_error");
 }
 
 // --- text on demand ---------------------------------------------------------
 
-/// Logs `n` records whose detail is a callable that counts its runs.
+/// Emits `n` facts whose detail is a callable that counts its runs.
 int log_counting_renders(Logger& log, int n,
-                         LogLevel level = LogLevel::kInfo) {
+                         FactKind kind = FactKind::kBestChanged) {
   int renders = 0;
+  const auto detail = [&] {
+    ++renders;
+    return std::string{"to AS2"};
+  };
   for (int i = 0; i < n; ++i) {
-    log.log(TimePoint::from_nanos(i), level, "bgp.AS1", "update_tx", [&] {
-      ++renders;
-      return std::string{"to AS2"};
-    });
+    log.emit(TimePoint::from_nanos(i), fact(kind, "bgp.AS1", detail));
   }
   return renders;
 }
 
+/// A sink that reads a fact's text.
+void read_text(const FactView& fact) { (void)fact.detail(); }
+
 TEST(Logger, TagsOnlySinksNeverRenderDetail) {
   Logger log;
   log.set_retain(false);
-  std::vector<LogRecord> seen;
-  log.add_sink([&](const LogRecord& rec) { seen.push_back(rec); },
-               SinkReads::kTagsOnly);
-  log.add_sink([](const LogRecord&) {}, SinkReads::kTagsOnly);
+  struct Seen {
+    FactKind kind;
+    std::string component;
+    TimePoint when;
+  };
+  std::vector<Seen> seen;
+  log.add_sink([&](const FactView& f) {
+    seen.push_back({f.fact.kind, std::string{f.fact.component}, f.when});
+  });
+  log.add_sink([](const FactView&) {});
   EXPECT_EQ(log_counting_renders(log, 5), 0);
   ASSERT_EQ(seen.size(), 5u);
-  EXPECT_EQ(seen[3].event, "update_tx");
+  EXPECT_EQ(seen[3].kind, FactKind::kBestChanged);
   EXPECT_EQ(seen[3].component, "bgp.AS1");
   EXPECT_EQ(seen[3].when, TimePoint::from_nanos(3));
-  EXPECT_TRUE(seen[3].detail.empty());
 }
 
 TEST(Logger, DetailRendersOncePerRecordForAnyTextConsumer) {
   {
     Logger log;  // retention only
-    log.add_sink([](const LogRecord&) {}, SinkReads::kTagsOnly);
+    log.add_sink([](const FactView&) {});
     EXPECT_EQ(log_counting_renders(log, 4), 4);
     ASSERT_EQ(log.records().size(), 4u);
     EXPECT_EQ(log.records()[0].detail, "to AS2");
@@ -215,14 +220,13 @@ TEST(Logger, DetailRendersOncePerRecordForAnyTextConsumer) {
     std::ostringstream os;
     log.set_echo(&os);
     EXPECT_EQ(log_counting_renders(log, 4), 4);
-    EXPECT_NE(os.str().find("update_tx: to AS2"), std::string::npos);
+    EXPECT_NE(os.str().find("best_changed: to AS2"), std::string::npos);
   }
   {
-    Logger log;  // one text sink
+    Logger log;  // one sink that reads text
     log.set_retain(false);
     std::string last;
-    log.add_sink([&](const LogRecord& rec) { last = rec.detail; },
-                 SinkReads::kText);
+    log.add_sink([&](const FactView& f) { last = f.detail(); });
     EXPECT_EQ(log_counting_renders(log, 4), 4);
     EXPECT_EQ(last, "to AS2");
   }
@@ -230,26 +234,22 @@ TEST(Logger, DetailRendersOncePerRecordForAnyTextConsumer) {
     Logger log;  // all of them at once still render once per record
     std::ostringstream os;
     log.set_echo(&os);
-    log.add_sink([](const LogRecord&) {}, SinkReads::kText);
-    log.add_sink([](const LogRecord&) {}, SinkReads::kText);
-    log.add_sink([](const LogRecord&) {}, SinkReads::kTagsOnly);
+    log.add_sink(read_text);
+    log.add_sink(read_text);
+    log.add_sink([](const FactView&) {});
     EXPECT_EQ(log_counting_renders(log, 4), 4);
   }
 }
 
-TEST(Logger, TagsOnlySinkSeesEmptyDetailWhenTextIsBuilt) {
+TEST(Logger, DetailIsSharedByEveryReader) {
   Logger log;
-  std::vector<std::string> tags_only_details;
   std::vector<std::string> text_details;
-  log.add_sink([&](const LogRecord& r) { text_details.push_back(r.detail); },
-               SinkReads::kText);
-  log.add_sink(
-      [&](const LogRecord& r) { tags_only_details.push_back(r.detail); },
-      SinkReads::kTagsOnly);
-  log.add_sink([&](const LogRecord& r) { text_details.push_back(r.detail); },
-               SinkReads::kText);
+  int tags_only = 0;
+  log.add_sink([&](const FactView& f) { text_details.push_back(f.detail()); });
+  log.add_sink([&](const FactView&) { ++tags_only; });
+  log.add_sink([&](const FactView& f) { text_details.push_back(f.detail()); });
   EXPECT_EQ(log_counting_renders(log, 2), 2);
-  EXPECT_EQ(tags_only_details, (std::vector<std::string>{"", ""}));
+  EXPECT_EQ(tags_only, 2);
   EXPECT_EQ(text_details,
             (std::vector<std::string>{"to AS2", "to AS2", "to AS2", "to AS2"}));
   ASSERT_EQ(log.records().size(), 2u);
@@ -260,9 +260,9 @@ TEST(Logger, RemovingLastTextSinkStopsRendering) {
   Logger log;
   log.set_retain(false);
   int tag_records = 0;
-  log.add_sink([&](const LogRecord&) { ++tag_records; }, SinkReads::kTagsOnly);
-  const auto first = log.add_sink([](const LogRecord&) {}, SinkReads::kText);
-  const auto second = log.add_sink([](const LogRecord&) {}, SinkReads::kText);
+  log.add_sink([&](const FactView&) { ++tag_records; });
+  const auto first = log.add_sink(read_text);
+  const auto second = log.add_sink(read_text);
   EXPECT_EQ(log_counting_renders(log, 3), 3);
   log.remove_sink(first);
   EXPECT_EQ(log_counting_renders(log, 3), 3);
@@ -273,20 +273,47 @@ TEST(Logger, RemovingLastTextSinkStopsRendering) {
   EXPECT_EQ(tag_records, 12);
 }
 
-TEST(Logger, MinLevelDropsBeforeAnySinkOrRender) {
+TEST(Logger, MinLevelFiltersTextOnly) {
   Logger log;
   log.set_min_level(LogLevel::kWarn);
   std::ostringstream os;
   log.set_echo(&os);
   int fired = 0;
-  log.add_sink([&](const LogRecord&) { ++fired; }, SinkReads::kText);
-  log.add_sink([&](const LogRecord&) { ++fired; }, SinkReads::kTagsOnly);
-  EXPECT_EQ(log_counting_renders(log, 3, LogLevel::kDebug), 0);
-  EXPECT_EQ(fired, 0);
+  log.add_sink([&](const FactView&) { ++fired; });
+  log.add_sink([&](const FactView&) { ++fired; });
+  // Below the level: both sinks see every fact, but no text is kept,
+  // echoed or rendered.
+  EXPECT_EQ(log_counting_renders(log, 3), 0);
+  EXPECT_EQ(fired, 6);
   EXPECT_TRUE(log.records().empty());
   EXPECT_TRUE(os.str().empty());
-  EXPECT_EQ(log_counting_renders(log, 1, LogLevel::kError), 1);
-  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(log_counting_renders(log, 1, FactKind::kStaleFlowMod), 1);
+  EXPECT_EQ(fired, 8);
+  ASSERT_EQ(log.records().size(), 1u);
+  EXPECT_NE(os.str().find("[WARN] bgp.AS1 stale_flow_mod: to AS2"),
+            std::string::npos);
+}
+
+// --- the fact table -----------------------------------------------------------
+
+TEST(FactTable, EveryRowFeedsAChannelItCanFeed) {
+  for (std::size_t i = 0; i < kFactKindCount; ++i) {
+    const FactRow& row = fact_row(static_cast<FactKind>(i));
+    EXPECT_EQ(static_cast<std::size_t>(row.kind), i);
+    // A fact writes text, makes a span or bumps a counter.
+    EXPECT_TRUE(row.tag != nullptr || row.span_category != nullptr ||
+                row.counter != nullptr)
+        << i;
+    // Only facts with a tag reach the Logger's sinks, so activity needs one.
+    if (row.activity) {
+      EXPECT_NE(row.tag, nullptr) << i;
+    }
+    // Span names and arguments belong to rows that make a span.
+    if (row.span_category == nullptr) {
+      EXPECT_EQ(row.span_name, nullptr) << i;
+      EXPECT_EQ(row.span_args[0], nullptr) << i;
+    }
+  }
 }
 
 }  // namespace

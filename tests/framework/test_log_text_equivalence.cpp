@@ -6,8 +6,8 @@
 // instant, every detector activity count, the update-rate buckets and the
 // route-change timeline. The retained text itself is checked line for line
 // against a golden captured from the eager logger that built every detail
-// at the emit site, and the detector's activity counts and the counters fed
-// by one kind of fact each are pinned to that run's values.
+// at the emit site, and the detector's activity counts and every counter
+// the fact table feeds are pinned to that run's values.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "core/fact.hpp"
 #include "framework/convergence.hpp"
 #include "framework/experiment.hpp"
 #include "framework/monitor.hpp"
@@ -40,22 +41,21 @@ struct Observed {
   std::vector<std::string> timeline;               // kTracker only
   std::vector<std::string> log_lines;              // kRetain only
   std::vector<core::LogRecord> records;            // kRetain only
-  std::map<std::string, std::int64_t> counters;    // kind-derived, at the end
+  std::map<std::string, std::int64_t> counters;    // fact-fed, at the end
 };
 
-/// The registry counters that count one kind of fact each.
-const char* const kFactCounters[] = {
-    "bgp.router.updates_tx",       "bgp.decision.best_changes",
-    "bgp.session.transitions",     "speaker.announces_tx",
-    "speaker.withdraws_tx",        "speaker.crashes",
-    "speaker.updates_rx",          "sdn.switch.flow_mods",
-    "sdn.switch.stale_flowmods_rejected",
-    "sdn.switch.standalone_entries",
-    "ctrl.idr.recompute_passes",   "ctrl.fallback.activations",
-    "framework.controller_crashes", "framework.controller_restarts",
-    "framework.speaker_crashes",   "framework.speaker_restarts",
-    "faults.injected",
-};
+/// Every counter the fact table feeds, with its value (absent: never fed).
+std::map<std::string, std::int64_t> fact_counters(Experiment& exp) {
+  std::map<std::string, std::int64_t> out;
+  for (std::size_t i = 0; i < core::kFactKindCount; ++i) {
+    const char* name = core::fact_row(static_cast<core::FactKind>(i)).counter;
+    if (name == nullptr) continue;
+    if (const auto* c = exp.telemetry().metrics().find_counter(name)) {
+      out[name] = c->value();
+    }
+  }
+  return out;
+}
 
 ExperimentConfig config_for(Consumer consumer, std::uint64_t seed) {
   ExperimentConfig cfg;
@@ -99,11 +99,7 @@ Observed observe(Experiment& exp, Consumer consumer, Drive drive) {
     }
   }
   if (rate != nullptr) out.buckets = rate->buckets();
-  for (const char* name : kFactCounters) {
-    if (const auto* c = exp.telemetry().metrics().find_counter(name)) {
-      out.counters[name] = c->value();
-    }
-  }
+  out.counters = fact_counters(exp);
   out.records = exp.logger().records();
   for (const auto& rec : out.records) out.log_lines.push_back(rec.to_string());
   return out;
@@ -166,8 +162,9 @@ std::map<std::uint64_t, std::uint64_t> buckets_from(
     const std::vector<core::LogRecord>& records) {
   std::map<std::uint64_t, std::uint64_t> buckets;
   for (const auto& rec : records) {
-    if (rec.event != "update_tx" && rec.event != "speaker_announce" &&
-        rec.event != "speaker_withdraw") {
+    if (rec.kind != core::FactKind::kUpdateTx &&
+        rec.kind != core::FactKind::kSpeakerAnnounce &&
+        rec.kind != core::FactKind::kSpeakerWithdraw) {
       continue;
     }
     ++buckets[static_cast<std::uint64_t>(rec.when.nanos_since_origin() /
@@ -181,9 +178,10 @@ std::vector<std::string> timeline_from(
     const std::vector<core::LogRecord>& records) {
   std::vector<std::string> timeline;
   for (const auto& rec : records) {
-    if (rec.event != "best_changed" && rec.event != "best_lost") continue;
-    timeline.push_back(timeline_entry(rec.when, rec.component,
-                                      rec.event == "best_lost", rec.detail));
+    const bool lost = rec.kind == core::FactKind::kBestLost;
+    if (!lost && rec.kind != core::FactKind::kBestChanged) continue;
+    timeline.push_back(
+        timeline_entry(rec.when, rec.component, lost, rec.detail));
   }
   return timeline;
 }
@@ -247,7 +245,11 @@ TEST(LogTextEquivalence, HybridCliqueAcrossConsumers) {
                          {{91, 167},
                           {{"bgp.decision.best_changes", 12},
                            {"bgp.router.updates_tx", 42},
+                           {"bgp.session.established", 24},
                            {"bgp.session.transitions", 86},
+                           {"bgp.session.updates_rx", 50},
+                           {"bgp.session.updates_tx", 50},
+                           {"ctrl.idr.prefix_recomputes", 4},
                            {"ctrl.idr.recompute_passes", 4},
                            {"sdn.switch.flow_mods", 4},
                            {"speaker.announces_tx", 4},
@@ -260,7 +262,12 @@ TEST(LogTextEquivalence, HybridInternetLikeAcrossConsumers) {
                          {{372, 528, 532, 538},
                           {{"bgp.decision.best_changes", 54},
                            {"bgp.router.updates_tx", 128},
+                           {"bgp.session.dropped", 2},
+                           {"bgp.session.established", 74},
                            {"bgp.session.transitions", 264},
+                           {"bgp.session.updates_rx", 164},
+                           {"bgp.session.updates_tx", 164},
+                           {"ctrl.idr.prefix_recomputes", 6},
                            {"ctrl.idr.recompute_passes", 4},
                            {"sdn.switch.flow_mods", 6},
                            {"speaker.announces_tx", 24},

@@ -127,6 +127,22 @@ TEST(Matrix, DirectiveArgumentErrors) {
             "line 1: bad prefix '10.x'");
 }
 
+TEST(Matrix, AnnounceAsMustFitAnAsNumber) {
+  // 2^32 + 1 once wrapped to AS 1 and announced from there.
+  EXPECT_EQ(diagnostic_of([] {
+              MatrixSpec::parse("announce 4294967297 10.0.0.0/16\n");
+            }),
+            "line 1: announce AS must be in [0, 4294967295], got 4294967297");
+  EXPECT_EQ(diagnostic_of([] {
+              MatrixSpec::parse("topology clique 4\nannounce -1 10.0.0.0/16\n");
+            }),
+            "line 2: announce AS needs a non-negative integer, got '-1'");
+  const auto matrix =
+      MatrixSpec::parse("announce 4294967295 10.0.0.0/16\n");
+  ASSERT_EQ(matrix.base.announcements.size(), 1u);
+  EXPECT_EQ(matrix.base.announcements[0].first.value(), 4294967295u);
+}
+
 // --- expansion --------------------------------------------------------------
 
 TEST(Matrix, ExpandsRowMajorWithFirstAxisSlowest) {

@@ -249,6 +249,26 @@ TEST(Scenario, KnobValuesAreBoundedAtTheirLine) {
   }
 }
 
+TEST(Scenario, FaultSeedAndAsNumbersUseTheCountGrammar) {
+  // `fault-seed -1` once exited 0 and `fault-seed 2.7` truncated to 2;
+  // `announce -1` wrapped to AS 4294967295 and died at `start` with a bare
+  // "map::at".
+  const std::vector<std::pair<std::string, std::string>> cases{
+      {"fault-seed -1", "fault-seed needs a non-negative integer, got '-1'"},
+      {"fault-seed 2.7", "fault-seed needs a non-negative integer, got '2.7'"},
+      {"announce -1 10.0.0.0/16",
+       "AS number needs a non-negative integer, got '-1'"},
+      {"announce 4294967296 10.0.0.0/16",
+       "AS number must be in [0, 4294967295], got 4294967296"},
+  };
+  for (const auto& [input, message] : cases) {
+    ScenarioRunner runner;
+    const auto result = runner.run("topology clique 3\n" + input + "\nstart\n");
+    EXPECT_FALSE(result.ok) << input;
+    EXPECT_EQ(result.error, "line 2: " + message) << input;
+  }
+}
+
 TEST(Scenario, InternetLikeTopology) {
   ScenarioRunner runner;
   const auto result = runner.run(

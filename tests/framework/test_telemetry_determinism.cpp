@@ -218,7 +218,7 @@ TEST(WaitApi, StructuredResultAndTypedMonitorRetrieval) {
   EXPECT_FALSE(conv.timed_out);
   EXPECT_GT(conv.instant.nanos_since_origin(), 0);
   ASSERT_NE(exp.monitor<ConvergenceDetector>(), nullptr);
-  EXPECT_EQ(exp.monitor<ConvergenceDetector>()->kind(), "convergence");
+  EXPECT_STREQ(exp.monitor<ConvergenceDetector>()->kind(), "convergence");
 }
 
 }  // namespace

@@ -67,18 +67,23 @@ TEST(TrialRunner, SweepsSeedsDeterministically) {
   EXPECT_DOUBLE_EQ(s.median, 102.0);
 }
 
+/// Emit a fact of `kind` from `component` at `when`.
+void emit(core::Logger& log, core::TimePoint when, core::FactKind kind,
+          std::string_view component, core::LogDetail detail = {}) {
+  log.emit(when, {.kind = kind, .component = component, .detail = detail});
+}
+
 TEST(ConvergenceDetector, TracksActivityAndQuiesces) {
   core::EventLoop loop;
   core::Logger log;
-  log.set_min_level(core::LogLevel::kDebug);
   ConvergenceDetector det{loop, log};
 
   // Activity at t=1s and t=2s, then silence.
   loop.schedule(core::Duration::seconds(1), [&] {
-    log.log(loop.now(), core::LogLevel::kDebug, "bgp.AS1", "update_tx", "x");
+    emit(log, loop.now(), core::FactKind::kUpdateTx, "bgp.AS1", "x");
   });
   loop.schedule(core::Duration::seconds(2), [&] {
-    log.log(loop.now(), core::LogLevel::kDebug, "bgp.AS2", "update_tx", "x");
+    emit(log, loop.now(), core::FactKind::kUpdateTx, "bgp.AS2", "x");
   });
   const auto conv = det.run_until_converged(core::Duration::seconds(5),
                                             core::Duration::seconds(60));
@@ -90,10 +95,10 @@ TEST(ConvergenceDetector, TracksActivityAndQuiesces) {
 TEST(ConvergenceDetector, IgnoresNonRoutingEvents) {
   core::EventLoop loop;
   core::Logger log;
-  log.set_min_level(core::LogLevel::kDebug);
   ConvergenceDetector det{loop, log};
   loop.schedule(core::Duration::seconds(1), [&] {
-    log.log(loop.now(), core::LogLevel::kDebug, "bgp.AS1", "keepalive", "x");
+    emit(log, loop.now(), core::FactKind::kOpenRx, "bgp.AS1.s1", "x");
+    emit(log, loop.now(), core::FactKind::kLinkDown, "net", "x");
   });
   det.run_until_converged(core::Duration::seconds(2), core::Duration::seconds(60));
   EXPECT_EQ(det.activity_count(), 0u);
@@ -102,11 +107,10 @@ TEST(ConvergenceDetector, IgnoresNonRoutingEvents) {
 TEST(ConvergenceDetector, TimesOutUnderSustainedChatter) {
   core::EventLoop loop;
   core::Logger log;
-  log.set_min_level(core::LogLevel::kDebug);
   ConvergenceDetector det{loop, log};
   // An update every second, forever (self-rescheduling).
   std::function<void()> chatter = [&] {
-    log.log(loop.now(), core::LogLevel::kDebug, "bgp.AS1", "update_tx", "x");
+    emit(log, loop.now(), core::FactKind::kUpdateTx, "bgp.AS1", "x");
     loop.schedule(core::Duration::seconds(1), chatter);
   };
   loop.schedule(core::Duration::seconds(1), chatter);
@@ -114,31 +118,41 @@ TEST(ConvergenceDetector, TimesOutUnderSustainedChatter) {
   EXPECT_TRUE(det.timed_out());
 }
 
-TEST(ConvergenceDetector, CustomEventSet) {
+TEST(ConvergenceDetector, ActivityIsTheTableColumn) {
+  // One fact of every kind that writes text: the detector counts exactly
+  // the rows whose activity column is set, at any log level.
   core::EventLoop loop;
   core::Logger log;
-  log.set_min_level(core::LogLevel::kDebug);
+  log.set_min_level(core::LogLevel::kError);
   ConvergenceDetector det{loop, log};
-  det.set_activity_events({"my_event"});
+  std::uint64_t expected = 0;
   loop.schedule(core::Duration::seconds(1), [&] {
-    log.log(loop.now(), core::LogLevel::kDebug, "x", "update_tx", "ignored now");
-    log.log(loop.now(), core::LogLevel::kDebug, "x", "my_event", "counted");
+    for (std::size_t i = 0; i < core::kFactKindCount; ++i) {
+      const auto kind = static_cast<core::FactKind>(i);
+      if (core::fact_row(kind).tag == nullptr) continue;
+      expected += core::fact_row(kind).activity ? 1 : 0;
+      emit(log, loop.now(), kind, "x");
+    }
   });
   det.run_until_converged(core::Duration::seconds(2), core::Duration::seconds(30));
-  EXPECT_EQ(det.activity_count(), 1u);
+  EXPECT_GT(expected, 10u);
+  EXPECT_EQ(det.activity_count(), expected);
+  EXPECT_EQ(det.last_activity(),
+            core::TimePoint::origin() + core::Duration::seconds(1));
 }
 
 TEST(RouteChangeTracker, CapturesBestChanges) {
   core::Logger log;
   RouteChangeTracker tracker{log};
-  log.log(core::TimePoint::origin(), core::LogLevel::kInfo, "bgp.AS1",
-          "best_changed", "10.0.0.0/16 via [2 1]");
-  log.log(core::TimePoint::origin(), core::LogLevel::kInfo, "bgp.AS2",
-          "best_lost", "10.0.0.0/16");
-  log.log(core::TimePoint::origin(), core::LogLevel::kInfo, "bgp.AS1",
-          "update_tx", "not a change");
+  emit(log, core::TimePoint::origin(), core::FactKind::kBestChanged, "bgp.AS1",
+       "10.0.0.0/16 via [2 1]");
+  emit(log, core::TimePoint::origin(), core::FactKind::kBestLost, "bgp.AS2",
+       "10.0.0.0/16");
+  emit(log, core::TimePoint::origin(), core::FactKind::kUpdateTx, "bgp.AS1",
+       "not a change");
   ASSERT_EQ(tracker.changes().size(), 2u);
   EXPECT_FALSE(tracker.changes()[0].lost);
+  EXPECT_EQ(tracker.changes()[0].detail, "10.0.0.0/16 via [2 1]");
   EXPECT_TRUE(tracker.changes()[1].lost);
   EXPECT_EQ(tracker.count_for("bgp.AS1"), 1u);
   EXPECT_EQ(tracker.count_for("bgp."), 2u);
@@ -149,11 +163,10 @@ TEST(RouteChangeTracker, CapturesBestChanges) {
 
 TEST(UpdateRateMonitor, BucketsByTime) {
   core::Logger log;
-  log.set_min_level(core::LogLevel::kDebug);
   UpdateRateMonitor mon{log, core::Duration::seconds(1)};
   const auto at = [&](double t) {
-    log.log(core::TimePoint::origin() + core::Duration::seconds_f(t),
-            core::LogLevel::kDebug, "bgp.AS1", "update_tx", "");
+    emit(log, core::TimePoint::origin() + core::Duration::seconds_f(t),
+         core::FactKind::kUpdateTx, "bgp.AS1");
   };
   at(0.1);
   at(0.2);

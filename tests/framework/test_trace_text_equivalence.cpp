@@ -16,6 +16,7 @@
 #include <string>
 #include <utility>
 
+#include "core/fact.hpp"
 #include "framework/experiment.hpp"
 #include "framework/faults.hpp"
 #include "framework/telemetry_monitor.hpp"
@@ -60,22 +61,34 @@ std::string run_idr_with_faults() {
   exp.run_for(core::Duration::seconds(14));
   exp.withdraw_prefix(AsNumber{1}, kPfx);
   EXPECT_FALSE(exp.wait_converged().timed_out);
-  // The registry counters that count one kind of fact each, as this run
-  // left them.
+  // Every counter the fact table feeds, as this run left it.
   const std::map<std::string, std::int64_t> pinned{
       {"bgp.router.updates_tx", 62},        {"bgp.decision.best_changes", 16},
-      {"bgp.session.transitions", 148},     {"speaker.announces_tx", 12},
+      {"bgp.session.established", 38},      {"bgp.session.dropped", 14},
+      {"bgp.session.transitions", 148},     {"bgp.session.updates_rx", 80},
+      {"bgp.session.updates_tx", 80},       {"speaker.announces_tx", 12},
       {"speaker.withdraws_tx", 6},          {"speaker.crashes", 1},
       {"speaker.updates_rx", 27},           {"sdn.switch.flow_mods", 15},
       {"sdn.switch.standalone_entries", 2}, {"ctrl.idr.recompute_passes", 12},
-      {"ctrl.fallback.activations", 1},     {"framework.controller_crashes", 1},
-      {"framework.controller_restarts", 1}, {"framework.speaker_crashes", 1},
-      {"framework.speaker_restarts", 1},    {"faults.injected", 7},
+      {"ctrl.idr.prefix_recomputes", 12},   {"ctrl.fallback.activations", 1},
+      {"framework.controller_crashes", 1},  {"framework.controller_restarts", 1},
+      {"framework.speaker_crashes", 1},     {"framework.speaker_restarts", 1},
+      {"faults.injected", 7},
   };
-  for (const auto& [name, value] : pinned) {
+  std::set<std::string> fed;
+  for (std::size_t i = 0; i < core::kFactKindCount; ++i) {
+    const char* name = core::fact_row(static_cast<core::FactKind>(i)).counter;
+    if (name == nullptr) continue;
+    fed.insert(name);
     const auto* c = exp.telemetry().metrics().find_counter(name);
-    EXPECT_TRUE(c != nullptr && c->value() == value) << name;
+    const auto want = pinned.find(name);
+    if (want == pinned.end()) {
+      EXPECT_EQ(c, nullptr) << name;
+    } else {
+      EXPECT_TRUE(c != nullptr && c->value() == want->second) << name;
+    }
   }
+  for (const auto& [name, value] : pinned) EXPECT_EQ(fed.count(name), 1u) << name;
   return tel.trace_jsonl();
 }
 

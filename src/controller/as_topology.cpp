@@ -40,9 +40,9 @@ void consider_egress(EgressMap& egress,
 }
 
 /// Translate a Dijkstra result over the transformed graph into per-switch
-/// hops and composed AS-level paths. Shared by the reference and the
-/// incremental engines — the translation is where the output bytes are
-/// made, so sharing it keeps the two engines trivially aligned there.
+/// hops and composed AS-level paths. Shared by AsTopologyGraph and
+/// IncrementalDecider — the translation is where the output bytes are
+/// made, so sharing it keeps the two aligned there.
 PrefixDecision translate(const SwitchGraph& switches, const DijkstraResult& res,
                          const EgressMap& egress,
                          std::optional<sdn::Dpid> origin_switch,
@@ -262,13 +262,12 @@ std::vector<net::Prefix> IncrementalDecider::apply_topology_deltas() {
   return affected;
 }
 
-PrefixDecision IncrementalDecider::decide(const net::Prefix& prefix,
-                                          const std::vector<ExternalRoute>& routes,
-                                          std::optional<sdn::Dpid> origin_switch,
-                                          IncrementalStats* stats) {
+PrefixDecision IncrementalDecider::decide(
+    const net::Prefix& prefix, const std::vector<ExternalRoute>& routes,
+    std::optional<sdn::Dpid> origin_switch) {
   // Split off cluster-crossing routes. With bridging enabled they engage
-  // the admission fixpoint, which is not incrementalized: fall back to the
-  // reference engine wholesale. With bridging disabled the reference
+  // the admission fixpoint, which is not incrementalized: fall back to
+  // AsTopologyGraph wholesale. With bridging disabled AsTopologyGraph
   // simply prunes them all, which the incremental path reproduces.
   std::size_t crossing = 0;
   std::vector<const ExternalRoute*> clean;
@@ -283,12 +282,10 @@ PrefixDecision IncrementalDecider::decide(const net::Prefix& prefix,
   if (crossing > 0 && allow_bridging_) {
     ++fallbacks_;
     drop(prefix);  // the tree would go stale while we bypass it
-    if (stats != nullptr) stats->reference_fallback = true;
-    const AsTopologyGraph reference{switches_, speaker_, allow_bridging_};
-    return reference.decide(routes, origin_switch);
+    const AsTopologyGraph fixpoint{switches_, speaker_, allow_bridging_};
+    return fixpoint.decide(routes, origin_switch);
   }
 
-  const std::uint64_t replayed_before = replayed_total_;
   auto& state = get_state(prefix);
   catch_up(state);
 
@@ -346,10 +343,6 @@ PrefixDecision IncrementalDecider::decide(const net::Prefix& prefix,
   }
   if (state.has_decision && state.decided_revision == state.spt.revision() &&
       state.egress_identity == identity && state.pruned == crossing) {
-    if (stats != nullptr) {
-      stats->vertices_replayed = replayed_total_ - replayed_before;
-      stats->spt_changed = false;
-    }
     return state.decision;
   }
 
@@ -361,10 +354,6 @@ PrefixDecision IncrementalDecider::decide(const net::Prefix& prefix,
   state.decided_revision = state.spt.revision();
   state.egress_identity = std::move(identity);
   state.pruned = crossing;
-  if (stats != nullptr) {
-    stats->vertices_replayed = replayed_total_ - replayed_before;
-    stats->spt_changed = true;
-  }
   return decision;
 }
 

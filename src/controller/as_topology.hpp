@@ -108,26 +108,16 @@ class AsTopologyGraph {
   bool allow_bridging_;
 };
 
-/// Per-call cost/outcome report from IncrementalDecider::decide().
-struct IncrementalStats {
-  /// Vertices (re)settled by delta replay during this call.
-  std::uint64_t vertices_replayed{0};
-  /// False when the cached decision was returned untouched.
-  bool spt_changed{true};
-  /// True when the call fell back to the reference AsTopologyGraph (the
-  /// sub-cluster bridging fixpoint is not incrementalized).
-  bool reference_fallback{false};
-};
-
-/// Incremental counterpart of AsTopologyGraph::decide(): keeps one dynamic
-/// shortest-path tree per prefix, fed by the switch graph's edge-delta
-/// changelog and by egress-set diffs, and re-translates a decision only
-/// when the tree or the candidate egress set actually changed. Produces
-/// byte-identical decisions to the reference implementation — equivalence
-/// is enforced by tests that run every scenario under both engines.
+/// The IDR controller's recomputation engine: the incremental counterpart
+/// of AsTopologyGraph::decide(). Keeps one dynamic shortest-path tree per
+/// prefix, fed by the switch graph's edge-delta changelog and by egress-set
+/// diffs, and re-translates a decision only when the tree or the candidate
+/// egress set actually changed. Its decisions equal a fresh
+/// AsTopologyGraph::decide() field by field; AsTopologyGraph stays as the
+/// test oracle that checks this (tests/controller/test_decider_oracle.cpp).
 ///
 /// Not incrementalized: prefixes with cluster-crossing routes while
-/// sub-cluster bridging is enabled fall back to the reference fixpoint
+/// sub-cluster bridging is enabled fall back to AsTopologyGraph's fixpoint
 /// (rare, and correctness there hinges on the admission order).
 class IncrementalDecider {
  public:
@@ -142,17 +132,17 @@ class IncrementalDecider {
   /// maintained tree can be found again on the next call.
   PrefixDecision decide(const net::Prefix& prefix,
                         const std::vector<ExternalRoute>& routes,
-                        std::optional<sdn::Dpid> origin_switch,
-                        IncrementalStats* stats = nullptr);
+                        std::optional<sdn::Dpid> origin_switch);
 
   /// Catch every maintained tree up with the switch-graph changelog.
   /// Returns the prefixes whose tree changed (sorted): the dirty set a
-  /// topology event implies, replacing reference mode's mark-everything.
+  /// topology event implies, instead of marking every prefix.
   std::vector<net::Prefix> apply_topology_deltas();
 
   /// Cumulative vertices replayed across all prefixes (cost telemetry).
   std::uint64_t vertices_replayed() const { return replayed_total_; }
-  /// Calls that fell back to the reference implementation.
+  /// Calls that fell back to AsTopologyGraph (cluster-crossing routes
+  /// under bridging).
   std::uint64_t reference_fallbacks() const { return fallbacks_; }
 
   void drop(const net::Prefix& prefix) { states_.erase(prefix); }

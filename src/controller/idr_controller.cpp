@@ -10,10 +10,8 @@ namespace bgpsdn::controller {
 void IdrController::bind_speaker(speaker::ClusterBgpSpeaker& speaker) {
   speaker_ = &speaker;
   speaker.set_listener(this);
-  if (config_.incremental) {
-    decider_ = std::make_unique<IncrementalDecider>(graph_, *speaker_,
-                                                    config_.subcluster_bridging);
-  }
+  decider_ = std::make_unique<IncrementalDecider>(graph_, *speaker_,
+                                                  config_.subcluster_bridging);
 }
 
 void IdrController::originate(sdn::Dpid origin, const net::Prefix& prefix,
@@ -40,7 +38,7 @@ void IdrController::on_crash() {
   installed_.clear();
   decisions_.clear();
   dirty_.clear();
-  if (decider_ != nullptr) decider_->clear();
+  decider_->clear();
   topology_pending_ = false;
   recompute_pending_ = false;
   if (auto* tel = telemetry()) tel->metrics().counter("ctrl.idr.crashes").inc();
@@ -60,7 +58,7 @@ void IdrController::reset_for_takeover() {
   installed_.clear();
   decisions_.clear();
   dirty_.clear();
-  if (decider_ != nullptr) decider_->clear();
+  decider_->clear();
   topology_pending_ = false;
   recompute_pending_ = false;
 }
@@ -161,14 +159,10 @@ void IdrController::on_port_status(const sdn::SwitchChannel& channel,
                    std::to_string(status.port.value()) +
                    (status.up ? " up" : " down");
           }});
-    if (decider_ != nullptr) {
-      // The change sits in the switch graph's changelog; the recompute
-      // pass replays it into the per-prefix trees and re-decides only the
-      // prefixes whose tree actually moved.
-      mark_topology_dirty();
-    } else {
-      mark_all_dirty();
-    }
+    // The change sits in the switch graph's changelog; the recompute pass
+    // replays it into the per-prefix trees and re-decides only the prefixes
+    // whose tree actually moved.
+    mark_topology_dirty();
     return;
   }
   // Border port of a relayed peering? Centralized failure handling: reset
@@ -237,18 +231,14 @@ void IdrController::run_recompute() {
   ++idr_counters_.recompute_passes;
   auto batch = std::move(dirty_);
   dirty_.clear();
-  const std::uint64_t replayed_before =
-      decider_ != nullptr ? decider_->vertices_replayed() : 0;
-  const std::uint64_t fallbacks_before =
-      decider_ != nullptr ? decider_->reference_fallbacks() : 0;
+  const std::uint64_t replayed_before = decider_->vertices_replayed();
+  const std::uint64_t fallbacks_before = decider_->reference_fallbacks();
   if (topology_pending_) {
     topology_pending_ = false;
-    if (decider_ != nullptr) {
-      // Replay the changelog suffix into every tree; only prefixes whose
-      // tree moved join the batch (reference mode marks everything).
-      for (const auto& prefix : decider_->apply_topology_deltas()) {
-        batch.insert(prefix);
-      }
+    // Replay the changelog suffix into every tree; only prefixes whose tree
+    // moved join the batch.
+    for (const auto& prefix : decider_->apply_topology_deltas()) {
+      batch.insert(prefix);
     }
   }
   idr_counters_.prefixes_dirty += batch.size();
@@ -267,17 +257,15 @@ void IdrController::run_recompute() {
         [&] { return std::to_string(batch.size()) + " prefixes"; },
         {batch.size()}, batch_opened_at_});
   for (const auto& prefix : batch) recompute_prefix(prefix);
-  if (decider_ != nullptr) {
-    const std::uint64_t replayed =
-        decider_->vertices_replayed() - replayed_before;
-    idr_counters_.spt_vertices_replayed += replayed;
-    idr_counters_.reference_fallbacks +=
-        decider_->reference_fallbacks() - fallbacks_before;
-    if (auto* tel = telemetry(); tel != nullptr && replayed > 0) {
-      tel->metrics()
-          .counter("ctrl.idr.spt_vertices_replayed")
-          .inc(static_cast<std::int64_t>(replayed));
-    }
+  const std::uint64_t replayed =
+      decider_->vertices_replayed() - replayed_before;
+  idr_counters_.spt_vertices_replayed += replayed;
+  idr_counters_.reference_fallbacks +=
+      decider_->reference_fallbacks() - fallbacks_before;
+  if (auto* tel = telemetry(); tel != nullptr && replayed > 0) {
+    tel->metrics()
+        .counter("ctrl.idr.spt_vertices_replayed")
+        .inc(static_cast<std::int64_t>(replayed));
   }
 }
 
@@ -310,16 +298,10 @@ void IdrController::recompute_prefix(const net::Prefix& prefix) {
 
   // Decide.
   phase(core::FactKind::kGraphTransform, routes.size());
-  PrefixDecision decision;
-  if (decider_ != nullptr) {
-    decision = decider_->decide(prefix, routes, origin_switch);
-    // A prefix with no inputs left converges to an empty decision; free
-    // its tree (it re-seeds if the prefix ever comes back).
-    if (routes.empty() && !origin_switch) decider_->drop(prefix);
-  } else {
-    const AsTopologyGraph topo{graph_, *speaker_, config_.subcluster_bridging};
-    decision = topo.decide(routes, origin_switch);
-  }
+  PrefixDecision decision = decider_->decide(prefix, routes, origin_switch);
+  // A prefix with no inputs left converges to an empty decision; free its
+  // tree (it re-seeds if the prefix ever comes back).
+  if (routes.empty() && !origin_switch) decider_->drop(prefix);
   idr_counters_.routes_pruned_loop += decision.pruned_routes;
   phase(core::FactKind::kDijkstra, decision.as_paths.size());
 

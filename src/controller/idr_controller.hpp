@@ -38,11 +38,6 @@ struct IdrControllerConfig {
   /// Admit legacy paths that bridge disjoint sub-clusters (pass 2 of the
   /// AS-topology transformation). Off = naive prune-everything rule.
   bool subcluster_bridging{true};
-  /// Maintain per-prefix shortest-path trees under topology deltas instead
-  /// of re-running Dijkstra from scratch every pass. Decisions are
-  /// byte-identical either way (enforced by the equivalence test suite);
-  /// off = the reference engine, kept for ablation.
-  bool incremental{true};
 };
 
 struct IdrCounters {
@@ -54,7 +49,7 @@ struct IdrCounters {
   std::uint64_t withdraws{0};
   std::uint64_t border_port_resets{0};
   std::uint64_t routes_pruned_loop{0};
-  /// Incremental engine cost/outcome (zero in reference mode).
+  /// Recomputation engine cost/outcome.
   std::uint64_t spt_vertices_replayed{0};
   std::uint64_t prefixes_dirty{0};
   std::uint64_t reference_fallbacks{0};
@@ -154,9 +149,9 @@ class IdrController : public ClusterController {
   }
   void mark_dirty(const net::Prefix& prefix);
   void mark_all_dirty();
-  /// Incremental mode's answer to a cluster-link change: note that the
-  /// topology moved and let run_recompute() derive the dirty prefixes from
-  /// the edge-delta changelog, instead of marking everything.
+  /// The answer to a cluster-link change: note that the topology moved and
+  /// let run_recompute() derive the dirty prefixes from the edge-delta
+  /// changelog, instead of marking everything.
   void mark_topology_dirty();
   void schedule_recompute();
   void run_recompute();
@@ -166,7 +161,8 @@ class IdrController : public ClusterController {
   IdrControllerConfig config_;
   speaker::ClusterBgpSpeaker* speaker_{nullptr};
   SwitchGraph graph_;
-  /// Per-prefix dynamic SPTs (incremental mode only; null = reference).
+  /// Per-prefix dynamic SPTs; created by bind_speaker(), which runs before
+  /// the controller handles any input.
   std::unique_ptr<IncrementalDecider> decider_;
 
   /// External RIB: prefix -> (peering -> interned attributes as received).

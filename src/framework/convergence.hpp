@@ -69,19 +69,13 @@ class ConvergenceDetector : public Monitor {
     activity_count_ = 0;
   }
 
-  /// Drive the event loop until `quiet` virtual time passes with no routing
-  /// activity, or `timeout` virtual time elapses. Returns the time of the
-  /// last routing activity — the convergence instant. If the timeout hits,
-  /// returns the last activity anyway; check timed_out().
-  core::TimePoint run_until_converged(core::Duration quiet,
-                                      core::Duration timeout);
-
-  /// Structured variant of run_until_converged. A zero quiet window in
-  /// `opts` is used as-is here (the Experiment layer owns the MRAI-based
+  /// Drive the event loop until `opts.quiet` virtual time passes with no
+  /// routing activity, or `opts.timeout` virtual time elapses. The result's
+  /// instant is the last routing activity — the convergence instant — and
+  /// stays so when the timeout hits (then `timed_out` is set). A zero quiet
+  /// window is used as-is here (the Experiment layer owns the MRAI-based
   /// defaulting).
   ConvergenceResult wait(const WaitOpts& opts);
-
-  bool timed_out() const { return timed_out_; }
 
  private:
   core::EventLoop& loop_;
@@ -89,6 +83,7 @@ class ConvergenceDetector : public Monitor {
   std::size_t sink_id_;
   core::TimePoint last_activity_{};
   std::uint64_t activity_count_{0};
+  /// Whether the latest wait timed out (reported by snapshot()).
   bool timed_out_{false};
 };
 

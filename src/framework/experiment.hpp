@@ -58,11 +58,6 @@ struct ExperimentConfig {
   core::Duration recompute_delay{core::Duration::seconds(2)};
   /// Controller's sub-cluster legacy bridging (off = naive loop pruning).
   bool subcluster_bridging{true};
-  /// IDR controller recomputation engine: true maintains per-prefix
-  /// shortest-path trees under edge deltas, false re-runs the reference
-  /// from-scratch Dijkstra each pass. Decisions are byte-identical either
-  /// way; the knob exists for the equivalence suite and the cost ablation.
-  bool incremental_spt{true};
   /// Cluster controller implementation.
   ControllerStyle controller_style{ControllerStyle::kIdrCentralized};
   /// RouteFlow mirror: RIB->flows poll period.

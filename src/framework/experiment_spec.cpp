@@ -110,11 +110,14 @@ void ExperimentSpec::validate() const {
         " ASes (the stub occupies AS " + failover_stub().to_string() + ")");
   }
   if (event == EventKind::kFlapTrain) {
-    if (sdn_count < 2) {
-      bad("flap-train needs at least 2 SDN members (the flapped link joins "
-          "the two lowest-numbered members)");
-    }
     knob("flaps").check(static_cast<double>(flap_cycles));
+    // Random graphs are drawn per trial seed; the base seed's graph stands
+    // in for them here.
+    if (!flap_link(make_topology(base_seed))) {
+      bad("flap-train needs a link at an SDN member, and none of the " +
+          std::to_string(sdn_count) + " member(s) of " + to_string(topology) +
+          ":" + std::to_string(topology_size) + " has one");
+    }
   }
   if (trials < 1) bad("trials must be >= 1");
   knob("replicas").check(static_cast<double>(config.controller_replicas));
@@ -207,6 +210,20 @@ std::set<core::AsNumber> ExperimentSpec::make_members() const {
   return members;
 }
 
+std::optional<std::pair<core::AsNumber, core::AsNumber>>
+ExperimentSpec::flap_link(const topology::TopologySpec& graph) const {
+  const auto members = make_members();
+  std::optional<std::pair<core::AsNumber, core::AsNumber>> both;
+  std::optional<std::pair<core::AsNumber, core::AsNumber>> one;
+  for (const auto& link : graph.links) {
+    const std::pair key{std::min(link.a, link.b), std::max(link.a, link.b)};
+    const std::size_t in = members.count(link.a) + members.count(link.b);
+    auto& best = in == 2 ? both : one;
+    if (in > 0 && (!best || key < *best)) best = key;
+  }
+  return both ? both : one;
+}
+
 std::vector<std::pair<core::AsNumber, net::Prefix>>
 ExperimentSpec::effective_announcements() const {
   if (!announcements.empty()) return announcements;
@@ -240,12 +257,11 @@ core::TimePoint ExperimentSpec::inject_event(Experiment& experiment) const {
       experiment.fail_link(failover_stub(), core::AsNumber{1});
       break;
     case EventKind::kFlapTrain: {
-      // Flap the link between the two lowest-numbered members, waiting out
-      // convergence after every transition (the churn-ablation shape).
-      const auto members = make_members();
-      auto it = members.begin();
-      const core::AsNumber a = *it++;
-      const core::AsNumber b = *it;
+      // Flap one member link, waiting out convergence after every
+      // transition (the churn-ablation shape).
+      const auto link = flap_link(experiment.spec());
+      if (!link) throw std::logic_error{"flap-train: no SDN member has a link"};
+      const auto [a, b] = *link;
       for (std::size_t i = 0; i < flap_cycles; ++i) {
         experiment.fail_link(a, b);
         experiment.wait_converged();
@@ -298,14 +314,13 @@ std::string ExperimentSpec::signature() const {
   std::snprintf(
       buf, sizeof buf,
       "topo=%s:%zu sdn=%zu event=%s flaps=%zu mrai=%lld recompute=%lld "
-      "damping=%d spt=%s controller=%s quiet=%lld link_delay=%lld "
+      "damping=%d controller=%s quiet=%lld link_delay=%lld "
       "replicas=%zu election=%lld",
       to_string(topology), topology_size, sdn_count, to_string(event),
       event == EventKind::kFlapTrain ? flap_cycles : std::size_t{0},
       static_cast<long long>(config.timers.mrai.count_nanos()),
       static_cast<long long>(config.recompute_delay.count_nanos()),
       config.damping.enabled ? 1 : 0,
-      config.incremental_spt ? "incremental" : "reference",
       config.controller_style == ControllerStyle::kIdrCentralized
           ? "idr"
           : "routeflow",
@@ -399,12 +414,6 @@ ExperimentSpecBuilder& ExperimentSpecBuilder::damping(bool enabled) {
   return *this;
 }
 
-ExperimentSpecBuilder& ExperimentSpecBuilder::incremental_spt(
-    bool incremental) {
-  spec_.config.incremental_spt = incremental;
-  return *this;
-}
-
 ExperimentSpecBuilder& ExperimentSpecBuilder::controller_style(
     ControllerStyle style) {
   spec_.config.controller_style = style;
@@ -493,10 +502,6 @@ const std::vector<Knob>& knob_table() {
       {.name = "event", .grammar = G::kEvent, .scope = kMatrix,
        .doc = "measured event: announcement|withdrawal|failover|flap-train",
        .set = [](S s, V v) { s.event = v.event; }},
-      {.name = "spt", .grammar = G::kWords, .scope = kAll,
-       .doc = "controller recomputation engine",
-       .words = "incremental|reference",
-       .set = [](S s, V v) { s.config.incremental_spt = v.word == 0; }},
       {.name = "damping", .grammar = G::kWords, .scope = kAll,
        .doc = "route-flap damping on every legacy router", .words = "on|off",
        .set = [](S s, V v) { s.config.damping.enabled = v.word == 0; }},

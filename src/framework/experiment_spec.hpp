@@ -3,7 +3,7 @@
 // One value object describes a whole seeded experiment cell: which topology
 // generator and size, how much of the network is centralized, which routing
 // event is injected and measured, the fault plan, the timer profile and the
-// protocol toggles (damping, SPT engine, controller style). Benches build
+// protocol toggles (damping, controller style). Benches build
 // their sweeps from ExperimentSpec cells, the `bgpsdn_matrix` tool expands
 // axis lists into a cross product of cells, and every later scenario axis
 // (scale sweeps, federation, workloads) plugs in here instead of growing
@@ -56,7 +56,7 @@ enum class EventKind {
   kAnnouncement,  // Tup: a fresh prefix announced at the origin
   kWithdrawal,    // Tdown: the origin withdraws (Fig. 2 path hunting)
   kFailover,      // Tlong: dual-homed stub loses its primary link
-  kFlapTrain,     // churn: repeated fail/restore of a cluster link
+  kFlapTrain,     // churn: repeated fail/restore of a member link
 };
 
 /// Stable names ("announcement", "withdrawal", "failover", "flap-train"),
@@ -93,7 +93,7 @@ struct ExperimentSpec {
   FaultPlan faults{};
 
   // --- timers, protocol toggles, seeds ------------------------------------
-  /// Timer profile, damping, SPT engine, controller style, recompute delay
+  /// Timer profile, damping, controller style, recompute delay
   /// and the per-trial seed all live in the ExperimentConfig (the seed field
   /// is overwritten per trial).
   ExperimentConfig config{};
@@ -140,6 +140,13 @@ struct ExperimentSpec {
 
   /// The SDN member set: the top sdn_count AS numbers.
   std::set<core::AsNumber> make_members() const;
+
+  /// The link a kFlapTrain event fails and restores in `graph`: the lowest
+  /// (a, b) link with both ends SDN members, else the lowest link with one
+  /// member end; nullopt when no member has a link (validate() rejects
+  /// such specs).
+  std::optional<std::pair<core::AsNumber, core::AsNumber>> flap_link(
+      const topology::TopologySpec& graph) const;
 
   /// The effective pre-start originations (declared or defaulted).
   std::vector<std::pair<core::AsNumber, net::Prefix>> effective_announcements()
@@ -280,7 +287,6 @@ class ExperimentSpecBuilder {
   ExperimentSpecBuilder& mrai(core::Duration mrai);
   ExperimentSpecBuilder& recompute_delay(core::Duration delay);
   ExperimentSpecBuilder& damping(bool enabled);
-  ExperimentSpecBuilder& incremental_spt(bool incremental);
   ExperimentSpecBuilder& controller_style(ControllerStyle style);
   /// Controller replication factor (1 = the single-controller baseline,
   /// 2..16 = hot-standby HA; requires the IDR controller style).

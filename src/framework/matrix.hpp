@@ -14,15 +14,15 @@
 //     recompute-delay 2
 //     axis sdn-frac 0 0.25 0.5 0.75 1
 //     axis event withdrawal announcement failover
-//     axis spt incremental reference
+//     axis damping off on
 //
 // Fixed lines and axis keys are rows of the knob table
 // (framework/experiment_spec.hpp), so they share the scenario DSL's
 // spelling and diagnostics (`topology`, `mrai`, `damping`, ...); the
 // matrix adds its own `matrix`, `trials`, `base-seed`, `announce`,
 // `fault-seed` and `fault` lines. `axis <key>
-// <values...>` sweeps one setting instead of fixing it; the 11 axis keys are
-// topology, sdn-frac, sdn-count, event, spt, damping, controller, mrai,
+// <values...>` sweeps one setting instead of fixing it; the 10 axis keys are
+// topology, sdn-frac, sdn-count, event, damping, controller, mrai,
 // recompute-delay, replicas and election-timeout-ms (`bgpsdn_matrix --help`
 // lists them). Every axis value is validated at parse time, the cross
 // product is checked for semantic duplicates, and all diagnostics carry the
@@ -47,7 +47,7 @@ struct MatrixAxis {
 /// One expanded cell: the resolved spec plus its coordinates — one
 /// (axis, value) pair per declared axis, in axis order.
 struct MatrixCell {
-  /// "sdn-frac=0.5,event=withdrawal,spt=incremental"
+  /// "sdn-frac=0.5,event=withdrawal,damping=on"
   std::string label;
   std::vector<std::pair<std::string, std::string>> coords;
   ExperimentSpec spec;

@@ -39,12 +39,19 @@ void ScenarioRunner::fail(const Line& line, const std::string& message) const {
 }
 
 core::AsNumber ScenarioRunner::parse_as(const Line& line,
-                                        const std::string& token) const {
+                                        const std::string& token) {
+  core::AsNumber as;
   try {
-    return parse_as_number(token, "AS number");
+    as = parse_as_number(token, "AS number");
   } catch (const std::invalid_argument& e) {
     fail(line, e.what());
   }
+  if (!have_topology_) {
+    named_early_.emplace_back(line.number, as);  // checked at `start`
+  } else if (!spec_.has_as(as)) {
+    fail(line, as.to_string() + " not in topology");
+  }
+  return as;
 }
 
 net::Prefix ScenarioRunner::parse_prefix(const Line& line,
@@ -141,9 +148,7 @@ void ScenarioRunner::execute(const Line& line, ScenarioResult& result) {
     forbid_after_start();
     if (!have_topology_) fail(line, "'sdn' requires a topology first");
     for (std::size_t i = 1; i < t.size(); ++i) {
-      const auto as = parse_as(line, t[i]);
-      if (!spec_.has_as(as)) fail(line, as.to_string() + " not in topology");
-      members_.insert(as);
+      members_.insert(parse_as(line, t[i]));
     }
   } else if (cmd == "host") {
     need(1);
@@ -163,6 +168,11 @@ void ScenarioRunner::execute(const Line& line, ScenarioResult& result) {
     need(0);
     if (started()) fail(line, "already started");
     if (!have_topology_) fail(line, "no topology declared");
+    for (const auto& [number, as] : named_early_) {
+      if (!spec_.has_as(as)) {
+        fail(Line{number, {}}, as.to_string() + " not in topology");
+      }
+    }
     if (seed_override_) knobs_.config.seed = *seed_override_;
     experiment_ =
         std::make_unique<Experiment>(spec_, members_, knobs_.config);

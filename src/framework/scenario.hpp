@@ -34,6 +34,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "framework/experiment_spec.hpp"
@@ -84,7 +85,9 @@ class ScenarioRunner {
   void execute(const Line& line, ScenarioResult& result);
   [[noreturn]] void fail(const Line& line, const std::string& message) const;
   Experiment& running(const Line& line);
-  core::AsNumber parse_as(const Line& line, const std::string& token) const;
+  /// An AS number that must be in the topology; one named before the
+  /// `topology` line is checked at `start`, and reported at its own line.
+  core::AsNumber parse_as(const Line& line, const std::string& token);
   net::Prefix parse_prefix(const Line& line, const std::string& token) const;
   double parse_number(const Line& line, const std::string& token) const;
 
@@ -96,6 +99,8 @@ class ScenarioRunner {
   bool have_topology_{false};
   std::set<core::AsNumber> members_;
   std::vector<core::AsNumber> hosts_;
+  /// (line number, AS) named before the topology was known.
+  std::vector<std::pair<std::size_t, core::AsNumber>> named_early_;
   /// Originations issued before start.
   std::vector<std::pair<core::AsNumber, net::Prefix>> pre_announce_;
   /// Fault events declared before start (plus any CLI-provided plan);

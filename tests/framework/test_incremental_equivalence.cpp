@@ -69,11 +69,9 @@ struct EquivCapture {
   }
 };
 
-ExperimentConfig scenario_config(bool incremental, std::uint64_t seed,
-                                 bool bridging) {
+ExperimentConfig scenario_config(std::uint64_t seed, bool bridging) {
   ExperimentConfig cfg;
   cfg.seed = seed;
-  cfg.incremental_spt = incremental;
   cfg.subcluster_bridging = bridging;
   cfg.timers.mrai = core::Duration::millis(500);
   cfg.recompute_delay = core::Duration::millis(200);
@@ -113,12 +111,11 @@ void capture_state(Experiment& exp, EquivCapture& cap) {
 // (3-4-5-6). The ring makes intra-cluster distance matter, and failing the
 // middle cluster link splits the members into two sub-clusters, exercising
 // the bridging fallback (or the pruning path with bridging off).
-EquivCapture run_ring_churn(bool incremental, std::uint64_t seed,
-                            bool bridging) {
+EquivCapture run_ring_churn(std::uint64_t seed, bool bridging) {
   const auto spec = topology::ring(8);
   Experiment exp{spec,
                  {AsNumber{3}, AsNumber{4}, AsNumber{5}, AsNumber{6}},
-                 scenario_config(incremental, seed, bridging)};
+                 scenario_config(seed, bridging)};
   const auto pfx = *net::Prefix::parse("10.99.0.0/16");
   exp.announce_prefix(AsNumber{1}, pfx);
 
@@ -192,20 +189,13 @@ std::string golden_name(std::uint64_t seed) {
 
 TEST(IncrementalEquivalence, RingChurnWithBridging) {
   for (const std::uint64_t seed : {11u, 12u}) {
-    for (const bool incremental : {true, false}) {
-      expect_matches_golden(run_ring_churn(incremental, seed, true),
-                            golden_name(seed),
-                            incremental ? "incremental" : "reference");
-    }
+    expect_matches_golden(run_ring_churn(seed, true), golden_name(seed),
+                          "jobs 1");
   }
 }
 
 TEST(IncrementalEquivalence, RingChurnWithoutBridging) {
-  for (const bool incremental : {true, false}) {
-    expect_matches_golden(run_ring_churn(incremental, 13, false),
-                          golden_name(13),
-                          incremental ? "incremental" : "reference");
-  }
+  expect_matches_golden(run_ring_churn(13, false), golden_name(13), "jobs 1");
 }
 
 TEST(IncrementalEquivalence, ByteIdenticalAcrossJobCounts) {
@@ -216,7 +206,7 @@ TEST(IncrementalEquivalence, ByteIdenticalAcrossJobCounts) {
   std::vector<EquivCapture> caps(2 * std::size(seeds));
   parallel_for_index(caps.size(), 4, [&](std::size_t i) {
     const std::uint64_t seed = seeds[i % std::size(seeds)];
-    caps[i] = run_ring_churn(/*incremental=*/true, seed, seed != 13);
+    caps[i] = run_ring_churn(seed, seed != 13);
   });
   for (std::size_t i = 0; i < caps.size(); ++i) {
     expect_matches_golden(caps[i], golden_name(seeds[i % std::size(seeds)]),
@@ -227,12 +217,11 @@ TEST(IncrementalEquivalence, ByteIdenticalAcrossJobCounts) {
 TEST(IncrementalEquivalence, ChurnRecomputeCostReduction) {
   // The cost criterion, as exact counts: under a cluster-link flap train on
   // an 8-clique with six members, the delta engine re-decides nothing (no
-  // tree moves when a redundant clique link flaps). The from-scratch
-  // engine this replaced recomputed 48 prefixes here, 336 vertex settles.
+  // tree moves when a redundant clique link flaps).
   const auto spec = topology::clique(8);
   std::set<AsNumber> members;
   for (std::uint32_t a = 3; a <= 8; ++a) members.insert(AsNumber{a});
-  Experiment exp{spec, members, scenario_config(true, 5, true)};
+  Experiment exp{spec, members, scenario_config(5, true)};
   exp.announce_prefix(AsNumber{1}, *net::Prefix::parse("10.91.0.0/16"));
   exp.announce_prefix(AsNumber{1}, *net::Prefix::parse("10.92.0.0/16"));
   exp.announce_prefix(AsNumber{2}, *net::Prefix::parse("10.93.0.0/16"));

@@ -4,8 +4,10 @@
 // fast end-to-end cell run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "framework/matrix.hpp"
 
@@ -81,7 +83,14 @@ TEST(Matrix, UnknownKeyNamesItsLine) {
 TEST(Matrix, UnknownAxisListsTheVocabulary) {
   EXPECT_EQ(diagnostic_of([] { MatrixSpec::parse("axis colour red blue\n"); }),
             "line 1: unknown axis 'colour' (known: topology, sdn-frac, "
-            "sdn-count, event, spt, damping, controller, mrai, "
+            "sdn-count, event, damping, controller, mrai, "
+            "recompute-delay, replicas, election-timeout-ms)");
+  // The recomputation engine is no longer a knob.
+  EXPECT_EQ(diagnostic_of([] {
+              MatrixSpec::parse("axis spt incremental reference\n");
+            }),
+            "line 1: unknown axis 'spt' (known: topology, sdn-frac, "
+            "sdn-count, event, damping, controller, mrai, "
             "recompute-delay, replicas, election-timeout-ms)");
 }
 
@@ -100,9 +109,9 @@ TEST(Matrix, MalformedAxisValueNamesAxisValueAndCause) {
   EXPECT_EQ(diagnostic_of([] { MatrixSpec::parse("axis mrai fast\n"); }),
             "line 1: bad value 'fast' for axis 'mrai': mrai needs a number, "
             "got 'fast'");
-  EXPECT_EQ(diagnostic_of([] { MatrixSpec::parse("axis spt maybe\n"); }),
-            "line 1: bad value 'maybe' for axis 'spt': want "
-            "incremental|reference, got 'maybe'");
+  EXPECT_EQ(diagnostic_of([] { MatrixSpec::parse("axis damping maybe\n"); }),
+            "line 1: bad value 'maybe' for axis 'damping': want on|off, got "
+            "'maybe'");
 }
 
 TEST(Matrix, AxisDeclarationErrors) {
@@ -161,7 +170,7 @@ TEST(Matrix, ExpandsRowMajorWithFirstAxisSlowest) {
   EXPECT_EQ(cells[0].spec.base_seed, 4000u);
   ASSERT_NE(cells[3].coord("event"), nullptr);
   EXPECT_EQ(*cells[3].coord("event"), "announcement");
-  EXPECT_EQ(cells[3].coord("spt"), nullptr);
+  EXPECT_EQ(cells[3].coord("damping"), nullptr);
 }
 
 TEST(Matrix, EmptyProductIsRejected) {
@@ -242,6 +251,76 @@ TEST(ExperimentSpecTest, BuilderValidatesEagerlyAndOnBuild) {
   EXPECT_FALSE(spec.sdn_fraction.has_value());
 }
 
+TEST(ExperimentSpecTest, FlapTrainPicksALinkThatExists) {
+  // Clique: the lowest member-member link, (9, 10) for the top 8 of 16.
+  const auto clique = ExperimentSpecBuilder{}
+                          .topology(TopologyModel::kClique, 16)
+                          .sdn_count(8)
+                          .event(EventKind::kFlapTrain)
+                          .build();
+  const auto clique_link = clique.flap_link(clique.make_topology(1));
+  ASSERT_TRUE(clique_link.has_value());
+  EXPECT_EQ(clique_link->first, core::AsNumber{9});
+  EXPECT_EQ(clique_link->second, core::AsNumber{10});
+
+  // Internet-like: the top 30% of ASes are stubs with no link between
+  // them, so the train flaps the lowest link with one member end.
+  const auto il = ExperimentSpecBuilder{}
+                      .topology(TopologyModel::kInternetLike, 200)
+                      .sdn_fraction(0.3)
+                      .event(EventKind::kFlapTrain)
+                      .build();
+  const auto graph = il.make_topology(il.base_seed);
+  const auto members = il.make_members();
+  const auto link = il.flap_link(graph);
+  ASSERT_TRUE(link.has_value());
+  EXPECT_LT(link->first, link->second);
+  EXPECT_EQ(members.count(link->first) + members.count(link->second), 1u);
+  bool exists = false;
+  for (const auto& l : graph.links) {
+    const std::pair ends{std::min(l.a, l.b), std::max(l.a, l.b)};
+    exists |= ends == *link;
+    if (members.count(l.a) + members.count(l.b) == 0) continue;
+    EXPECT_FALSE(members.count(l.a) + members.count(l.b) == 2)
+        << "member-member link " << l.a.to_string() << "-" << l.b.to_string();
+    EXPECT_FALSE(ends < *link)
+        << "lower member link " << ends.first.to_string() << "-"
+        << ends.second.to_string();
+  }
+  EXPECT_TRUE(exists);
+
+  // A train on a small internet-like graph runs to the end.
+  const auto small = ExperimentSpecBuilder{}
+                         .topology(TopologyModel::kInternetLike, 12)
+                         .sdn_count(3)
+                         .event(EventKind::kFlapTrain)
+                         .flap_cycles(1)
+                         .mrai(core::Duration::seconds_f(0.3))
+                         .recompute_delay(core::Duration::seconds_f(0.1))
+                         .build();
+  EXPECT_GT(small.run_trial(small.base_seed), 0.0);
+
+  // No member, no link to flap: rejected by name, at build and at expand.
+  try {
+    ExperimentSpecBuilder{}
+        .topology(TopologyModel::kInternetLike, 200)
+        .event(EventKind::kFlapTrain)
+        .build();
+    ADD_FAILURE() << "a flap train without members was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "flap-train needs a link at an SDN member, and none of the 0 "
+                 "member(s) of internet-like:200 has one");
+  }
+  EXPECT_EQ(diagnostic_of([] {
+              MatrixSpec::parse("topology internet-like 200\nevent flap:1\n"
+                                "axis sdn-frac 0 0.3\n")
+                  .expand();
+            }),
+            "cell 'sdn-frac=0': flap-train needs a link at an SDN member, and "
+            "none of the 0 member(s) of internet-like:200 has one");
+}
+
 TEST(ExperimentSpecTest, SignatureSeparatesBehaviorRelevantFields) {
   const auto base = ExperimentSpecBuilder{}
                         .topology(TopologyModel::kClique, 8)
@@ -251,9 +330,9 @@ TEST(ExperimentSpecTest, SignatureSeparatesBehaviorRelevantFields) {
   EXPECT_EQ(base.signature(), other.signature());
   other.sdn_count = 4;
   EXPECT_NE(base.signature(), other.signature());
-  auto engine = base;
-  engine.config.incremental_spt = false;
-  EXPECT_NE(base.signature(), engine.signature());
+  auto damped = base;
+  damped.config.damping.enabled = true;
+  EXPECT_NE(base.signature(), damped.signature());
 }
 
 TEST(ExperimentSpecTest, EventKindNamesRoundTrip) {

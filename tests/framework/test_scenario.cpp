@@ -99,6 +99,8 @@ TEST(Scenario, SyntaxErrorsAreReported) {
   };
   expect_error("frobnicate 1\n", "unknown command");
   expect_error("rib compact\n", "unknown command");  // retired layout knob
+  // Retired engine knob.
+  expect_error("spt incremental\n", "line 1: unknown command 'spt'");
   expect_error("topology moebius 4\n", "unknown topology model");
   expect_error("topology clique 4\nsdn 9\n", "AS9 not in topology");
   expect_error("announce 1 not-a-prefix\n", "bad prefix");
@@ -107,6 +109,23 @@ TEST(Scenario, SyntaxErrorsAreReported) {
   expect_error("topology clique 3\nstart\nstart\n", "already started");
   expect_error("mrai x\n", "line 1: mrai needs a number, got 'x'");
   expect_error("start\n", "no topology");
+  // Every AS argument is checked against the topology at its own line;
+  // ASes named before the `topology` line are checked at `start`.
+  expect_error("topology clique 3\nannounce 9 10.0.0.0/16\n",
+               "line 2: AS9 not in topology");
+  expect_error("topology clique 3\nhost 9\n", "line 2: AS9 not in topology");
+  expect_error("announce 1 10.0.0.0/16\nhost 7\ntopology clique 3\nstart\n",
+               "line 2: AS7 not in topology");
+  expect_error("announce 9 10.0.0.0/16\ntopology clique 3\nstart\n",
+               "line 1: AS9 not in topology");
+  const std::string started = "topology clique 3\nstart\n";
+  expect_error(started + "withdraw 9 10.0.0.0/16\n",
+               "line 3: AS9 not in topology");
+  expect_error(started + "announce 9 10.0.0.0/16\n",
+               "line 3: AS9 not in topology");
+  expect_error(started + "expect-route 9 10.0.0.0/16\n",
+               "line 3: AS9 not in topology");
+  expect_error(started + "print-trace 1 9\n", "line 3: AS9 not in topology");
 }
 
 TEST(Scenario, CommentsAndBlankLinesIgnored) {
@@ -287,7 +306,6 @@ common_row_values() {
   static const std::map<std::string, std::pair<std::string, std::string>>
       values{
           {"topology", {"ring 7", "ring 1"}},
-          {"spt", {"reference", "maybe"}},
           {"damping", {"on", "yes"}},
           {"controller", {"routeflow", "onos"}},
           {"mrai", {"0.7", "-1"}},
@@ -307,7 +325,6 @@ std::string knob_fields(const ExperimentConfig& cfg) {
          " link_delay=" + std::to_string(cfg.default_link.delay.count_nanos()) +
          " controller=" +
          std::to_string(static_cast<int>(cfg.controller_style)) +
-         " incremental_spt=" + std::to_string(cfg.incremental_spt) +
          " damping=" + std::to_string(cfg.damping.enabled) +
          " replicas=" + std::to_string(cfg.controller_replicas) +
          " election=" + std::to_string(cfg.ha.election_min.count_nanos()) +

@@ -60,7 +60,7 @@ std::string describe(const ExperimentSpec& spec) {
       buf, sizeof buf,
       "topology=%s:%zu sdn_count=%zu fraction_unresolved=%d event=%s "
       "flaps=%zu mrai_ns=%lld recompute_ns=%lld link_delay_ns=%lld "
-      "damping=%d incremental_spt=%d controller=%d replicas=%zu "
+      "damping=%d controller=%d replicas=%zu "
       "election_ns=%lld..%lld wait_quiet_ns=%lld seed=%llu trials=%zu "
       "base_seed=%llu",
       to_string(spec.topology), spec.topology_size, spec.sdn_count,
@@ -68,8 +68,8 @@ std::string describe(const ExperimentSpec& spec) {
       spec.flap_cycles, static_cast<long long>(cfg.timers.mrai.count_nanos()),
       static_cast<long long>(cfg.recompute_delay.count_nanos()),
       static_cast<long long>(cfg.default_link.delay.count_nanos()),
-      cfg.damping.enabled ? 1 : 0, cfg.incremental_spt ? 1 : 0,
-      static_cast<int>(cfg.controller_style), cfg.controller_replicas,
+      cfg.damping.enabled ? 1 : 0, static_cast<int>(cfg.controller_style),
+      cfg.controller_replicas,
       static_cast<long long>(cfg.ha.election_min.count_nanos()),
       static_cast<long long>(cfg.ha.election_max.count_nanos()),
       static_cast<long long>(spec.wait_quiet.count_nanos()),

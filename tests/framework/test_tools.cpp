@@ -85,10 +85,12 @@ TEST(ConvergenceDetector, TracksActivityAndQuiesces) {
   loop.schedule(core::Duration::seconds(2), [&] {
     emit(log, loop.now(), core::FactKind::kUpdateTx, "bgp.AS2", "x");
   });
-  const auto conv = det.run_until_converged(core::Duration::seconds(5),
-                                            core::Duration::seconds(60));
-  EXPECT_FALSE(det.timed_out());
-  EXPECT_EQ(conv, core::TimePoint::origin() + core::Duration::seconds(2));
+  const auto conv = det.wait(
+      WaitOpts{core::Duration::seconds(5), core::Duration::seconds(60)});
+  EXPECT_FALSE(conv.timed_out);
+  EXPECT_EQ(conv.instant,
+            core::TimePoint::origin() + core::Duration::seconds(2));
+  EXPECT_EQ(conv.quiet_window, core::Duration::seconds(5));
   EXPECT_EQ(det.activity_count(), 2u);
 }
 
@@ -100,7 +102,7 @@ TEST(ConvergenceDetector, IgnoresNonRoutingEvents) {
     emit(log, loop.now(), core::FactKind::kOpenRx, "bgp.AS1.s1", "x");
     emit(log, loop.now(), core::FactKind::kLinkDown, "net", "x");
   });
-  det.run_until_converged(core::Duration::seconds(2), core::Duration::seconds(60));
+  det.wait(WaitOpts{core::Duration::seconds(2), core::Duration::seconds(60)});
   EXPECT_EQ(det.activity_count(), 0u);
 }
 
@@ -114,8 +116,10 @@ TEST(ConvergenceDetector, TimesOutUnderSustainedChatter) {
     loop.schedule(core::Duration::seconds(1), chatter);
   };
   loop.schedule(core::Duration::seconds(1), chatter);
-  det.run_until_converged(core::Duration::seconds(5), core::Duration::seconds(30));
-  EXPECT_TRUE(det.timed_out());
+  const auto conv = det.wait(
+      WaitOpts{core::Duration::seconds(5), core::Duration::seconds(30)});
+  EXPECT_TRUE(conv.timed_out);
+  EXPECT_TRUE(det.snapshot()["timed_out"].as_bool());
 }
 
 TEST(ConvergenceDetector, ActivityIsTheTableColumn) {
@@ -134,7 +138,7 @@ TEST(ConvergenceDetector, ActivityIsTheTableColumn) {
       emit(log, loop.now(), kind, "x");
     }
   });
-  det.run_until_converged(core::Duration::seconds(2), core::Duration::seconds(30));
+  det.wait(WaitOpts{core::Duration::seconds(2), core::Duration::seconds(30)});
   EXPECT_GT(expected, 10u);
   EXPECT_EQ(det.activity_count(), expected);
   EXPECT_EQ(det.last_activity(),
